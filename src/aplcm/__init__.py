@@ -9,8 +9,6 @@ from .gfun import (
     Window,
     count_multiples,
     count_multiples_naive,
-    excess_multiples,
-    ratio_valuation,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
@@ -29,12 +27,9 @@ from .identities import (
 )
 from .numtheory import (
     FactoredInteger,
-    binomial,
     factorize,
-    gcd,
     integer_log,
     is_prime,
-    lcm_many,
     lcm_upto,
     primes_upto,
     valuation,
@@ -42,7 +37,6 @@ from .numtheory import (
 from .period import (
     DEFAULT_BUDGET,
     PeriodReport,
-    closed_form_period,
     exceptional_factor,
     nonperiod_witness,
     smallest_period,
@@ -64,29 +58,23 @@ __all__ = [
     "VerificationReport",
     "Window",
     "available_suites",
-    "binomial",
     "build_period_table",
     "check_gcd_transfer",
     "check_lcm_bounds",
     "check_ratio_recursion",
     "check_window_divisibility",
-    "closed_form_period",
     "count_multiples",
     "count_multiples_naive",
     "exceptional_factor",
-    "excess_multiples",
     "factorize",
     "fast_lcm",
-    "gcd",
     "integer_log",
     "is_prime",
     "lcm_by_inclusion_exclusion",
-    "lcm_many",
     "lcm_upto",
     "load_period_table",
     "nonperiod_witness",
     "primes_upto",
-    "ratio_valuation",
     "ratio_valuation_by_counting",
     "run_suite",
     "save_period_table",

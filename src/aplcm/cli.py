@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import integer_log, is_prime, lcm_many, lcm_upto
+from .numtheory import integer_log, is_prime, lcm_upto
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -253,7 +254,7 @@ def cmd_lcm(args) -> int:
 
     direct = period_val = None
     if method in ("direct", "both"):
-        direct = lcm_many(window_terms(prog, Window(args.n, args.k)))
+        direct = math.lcm(*window_terms(prog, Window(args.n, args.k)))
     if method in ("period", "both"):
         table = _acquire_table(prog, args.k, args.table, resolve_budget(None))
         period_val = fast_lcm(table, args.n)
@@ -486,7 +487,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Results and --n values of any size convert to and from decimal here;
+    # the interpreter's own limit comes back for library callers.
+    old_limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser(), argv)
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
+
+
+def _run(parser, argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,15 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numtheory import gcd, integer_log, is_prime, lcm_many, valuation
+from .numtheory import integer_log, is_prime
 
 __all__ = [
     "Progression",
     "Window",
     "count_multiples",
     "count_multiples_naive",
-    "excess_multiples",
-    "ratio_valuation",
     "ratio_valuation_by_counting",
     "window_ratio",
     "window_terms",
@@ -51,7 +49,7 @@ class Progression:
 
     @property
     def d(self) -> int:
-        return gcd(self.a, self.b)
+        return math.gcd(self.a, self.b)
 
     @property
     def a_reduced(self) -> int:
@@ -98,7 +96,7 @@ def window_ratio(prog: Progression, w: Window) -> int:
     progressions, so scaling identities stay genuine cross-checks.
     """
     terms = window_terms(prog, w)
-    return math.prod(terms) // lcm_many(terms)
+    return math.prod(terms) // math.lcm(*terms)
 
 
 def _require_reduced(prog: Progression) -> None:
@@ -107,17 +105,6 @@ def _require_reduced(prog: Progression) -> None:
             f"progression ({prog.a}, {prog.b}) has gcd {prog.d} > 1; "
             "pass the reduced progression"
         )
-
-
-def ratio_valuation(p: int, prog: Progression, w: Window) -> int:
-    """Valuation of window_ratio at p, by direct computation.
-
-    Requires a reduced progression (gcd(a, b) = 1).
-    """
-    _require_reduced(prog)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return valuation(p, window_ratio(prog, w))
 
 
 def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
@@ -153,15 +140,6 @@ def count_multiples_naive(p: int, e: int, prog: Progression, w: Window) -> int:
         raise ValueError(f"exponent e must be >= 1, got {e}")
     pe = p**e
     return sum(1 for t in window_terms(prog, w) if t % pe == 0)
-
-
-def excess_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
-    """count_multiples(...) - 1.
-
-    May be -1 when no term is divisible by p**e; callers that sum these
-    clamp at 0, which is exactly where the clamp belongs.
-    """
-    return count_multiples(p, e, prog, w) - 1
 
 
 def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:

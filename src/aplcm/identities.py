@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError
 from .gfun import Progression, Window, window_ratio, window_terms
-from .numtheory import binomial, factorize, gcd, lcm_many
+from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
 __all__ = [
@@ -107,7 +107,7 @@ class GcdTransferReport:
 
 
 def _adjusted_ratio(xs: list[int], t: int) -> Fraction:
-    inv = Fraction(math.prod(xs), lcm_many(xs))
+    inv = Fraction(math.prod(xs), math.lcm(*xs))
     for r in range(2, t):
         for comb in combinations(xs, r):
             g = math.gcd(*comb)
@@ -163,9 +163,9 @@ def check_lcm_bounds(n: int, k: int) -> LcmBoundsReport:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    lcm = lcm_many(range(n, n + k + 1))
-    lower = n * binomial(n + k, k)
-    upper = lower * lcm_many([binomial(k, j) for j in range(k + 1)])
+    lcm = math.lcm(*range(n, n + k + 1))
+    lower = n * math.comb(n + k, k)
+    upper = lower * math.lcm(*(math.comb(k, j) for j in range(k + 1)))
     return LcmBoundsReport(
         n=n,
         k=k,
@@ -190,9 +190,9 @@ class WindowDivisibilityReport:
 
 def check_window_divisibility(prog: Progression, w: Window) -> WindowDivisibilityReport:
     terms = window_terms(prog, w)
-    d01 = gcd(prog.term(w.n), prog.term(w.n + 1))
+    d01 = math.gcd(prog.term(w.n), prog.term(w.n + 1))
     product = math.prod(terms)
-    bound = lcm_many(terms) * math.factorial(w.k) * d01**w.k
+    bound = math.lcm(*terms) * math.factorial(w.k) * d01**w.k
     return WindowDivisibilityReport(product, bound, bound % product == 0)
 
 
@@ -207,7 +207,7 @@ def check_ratio_recursion(k: int, n: int) -> bool:
     prog = Progression(1, 0)
     current = window_ratio(prog, Window(n, k))
     previous = window_ratio(prog, Window(n, k - 1))
-    return current == gcd(math.factorial(k), (n + k) * previous)
+    return current == math.gcd(math.factorial(k), (n + k) * previous)
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,8 @@ def build_period_table(
     period = smallest_period(prog, k).value
     if period * (k + 1) > budget:
         raise BudgetExceededError(
-            f"period {period} with k={k} exceeds the table budget {budget}"
+            f"period has {period.bit_length()} bits; with k={k} the table "
+            f"exceeds the budget {budget}"
         )
     values = [window_ratio(prog, Window(period, k))] + [
         window_ratio(prog, Window(n, k)) for n in range(1, period)

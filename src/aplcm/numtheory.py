@@ -1,4 +1,4 @@
-"""Exact integer primitives: primes, gcd/lcm, valuations, factored integers.
+"""Exact integer primitives: primes, valuations, factored integers.
 
 Everything here is pure and works on Python's native arbitrary-precision
 integers; nothing ever goes through floating point.
@@ -7,41 +7,30 @@ integers; nothing ever goes through floating point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from math import gcd
 
 __all__ = [
     "FactoredInteger",
-    "binomial",
     "factorize",
-    "gcd",
     "integer_log",
     "is_prime",
-    "lcm_many",
     "lcm_upto",
     "primes_upto",
     "valuation",
 ]
 
 
-def lcm_many(xs) -> int:
-    """Least common multiple of a non-empty sequence of positive integers."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("lcm of an empty sequence")
-    acc = 1
-    for x in xs:
-        if x < 1:
-            raise ValueError(f"lcm requires positive entries, got {x}")
-        acc = acc * x // gcd(acc, x)
-    return acc
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for small n)."""
-    if n < 2:
-        return False
+    """Deterministic primality test.
+
+    Answered from the shared sieve when it already covers n, by trial
+    division (intended for small n) otherwise.
+    """
+    if n <= _prime_cache_limit:
+        primes = _prime_cache
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     if n % 2 == 0:
         return n == 2
     f = 3
@@ -52,8 +41,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Growing shared sieve; immutable tuple swapped in atomically, so concurrent
-# readers are safe without locking.
+# Growing shared sieve; the immutable tuple is swapped in before the limit,
+# so concurrent readers that see a limit also see a sieve covering it.
 _prime_cache: tuple[int, ...] = ()
 _prime_cache_limit = 1
 
@@ -190,10 +179,3 @@ def lcm_upto(k: int) -> FactoredInteger:
     if k < 0:
         raise ValueError(f"lcm_upto requires k >= 0, got {k}")
     return FactoredInteger({p: integer_log(p, k) for p in primes_upto(k)})
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); requires 0 <= k <= n."""
-    if k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)

@@ -3,13 +3,17 @@
 The ratio n -> window_ratio(prog, Window(n, k)) is periodic, and
 lcm(1..k) is always a period: shifting the start index by lcm(1..k)
 leaves every pairwise gcd of window terms unchanged, hence the ratio
-too. The closed form divides out of lcm(1..k) the primes that cannot
-contribute (those dividing the reduced difference) and, when it exists,
-the single exceptional prime whose maximal power divides k + 1.
+too. The smallest period is derived prime by prime in one pass over the
+primes p <= k. With p**E the largest power of p not above k, the block
+p**E drops out when p divides the reduced difference, or when p is the
+single exceptional prime with p**E | k + 1; otherwise it is kept. The
+per-prime periods multiply to the smallest period. The brute-force
+searches below are independent of that pass and serve as its oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, SelfCheckError
@@ -27,7 +31,6 @@ from .numtheory import (
 __all__ = [
     "DEFAULT_BUDGET",
     "PeriodReport",
-    "closed_form_period",
     "exceptional_factor",
     "nonperiod_witness",
     "smallest_period",
@@ -69,26 +72,6 @@ def exceptional_factor(k: int, a: int) -> tuple[int, int | None]:
     return p ** integer_log(p, k), p
 
 
-def closed_form_period(k: int, a: int) -> FactoredInteger:
-    """Closed-form smallest period for a progression with difference a
-    coprime to its offset.
-
-    lcm(1..k) divided by the exceptional factor and by the full
-    prime-power block q**E of every prime q <= k dividing a. All
-    divisions are exact in exponent space by construction.
-    """
-    factors = {p: integer_log(p, k) for p in primes_upto(k)}
-    _, exc_prime = exceptional_factor(k, a)
-    if exc_prime is not None:
-        factors[exc_prime] -= integer_log(exc_prime, k)
-    for q in list(factors):
-        if a % q == 0:
-            del factors[q]
-    if any(e < 0 for e in factors.values()):
-        raise SelfCheckError(f"inexact division in closed form for k={k}, a={a}")
-    return FactoredInteger(factors)
-
-
 @dataclass(frozen=True)
 class PeriodReport:
     """Closed-form smallest period with its provenance.
@@ -127,28 +110,36 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
 
     Equals the closed form for the reduced difference: scaling both a
     and b by their gcd scales the ratio by a constant power of d and so
-    preserves the smallest period.
+    preserves the smallest period. Each prime p <= k lands in exactly
+    one branch: removed (p divides the reduced difference), exceptional
+    (decided by exceptional_factor), or kept with its full block p**E.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     ar = prog.a_reduced
-    closed = closed_form_period(k, ar)
     exc_value, exc_prime = exceptional_factor(k, ar)
-    per_prime = {}
+    kept: dict[int, int] = {}
+    removed: list[tuple[int, int]] = []
+    per_prime: dict[int, int] = {}
     for p in primes_upto(k):
-        dropped = valuation(p, k + 1) >= integer_log(p, k) or ar % p == 0
-        per_prime[p] = 1 if dropped else p ** integer_log(p, k)
+        e = integer_log(p, k)
+        if ar % p == 0:
+            removed.append((p, e))
+            per_prime[p] = 1
+        elif p == exc_prime:
+            per_prime[p] = 1
+        else:
+            kept[p] = e
+            per_prime[p] = p**e
     return PeriodReport(
         k=k,
         a=prog.a,
         b=prog.b,
         a_reduced=ar,
-        closed_form=closed,
+        closed_form=FactoredInteger(kept),
         exceptional=exc_value,
         exceptional_prime=exc_prime,
-        removed_primes=[
-            (q, integer_log(q, k)) for q in primes_upto(k) if ar % q == 0
-        ],
+        removed_primes=removed,
         per_prime=per_prime,
     )
 
@@ -169,12 +160,14 @@ def smallest_period_bruteforce(
         raise ValueError(f"k must be >= 0, got {k}")
     lf = lcm_upto(k)
     big_l = lf.value
-    divisors = lf.divisors()
-    work = big_l * (k + 1) * len(divisors)
+    divisor_count = math.prod(e + 1 for e in lf.factors.values())
+    work = big_l * (k + 1) * divisor_count
     if work > budget:
         raise BudgetExceededError(
-            f"full-period search for k={k} needs work ~{work} > budget {budget}"
+            f"full-period search for k={k} needs work ~2^{work.bit_length()} "
+            f"> budget {budget}"
         )
+    divisors = lf.divisors()
     ratios = [0] + [
         window_ratio(prog, Window(n, k)) for n in range(1, 2 * big_l + 1)
     ]

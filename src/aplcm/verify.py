@@ -37,7 +37,6 @@ from .identities import (
 )
 from .numtheory import (
     integer_log,
-    lcm_many,
     lcm_upto,
     primes_upto,
     valuation,
@@ -149,9 +148,9 @@ def _suite_consecutive_periods(budget, jobs):
         else:
             # Out of comfortable full-search range: combine the per-prime
             # period searches instead (their lcm is the full period).
-            confirmed = lcm_many(
-                [valuation_period_bruteforce(p, prog, k, budget)
-                 for p in primes_upto(k)]
+            confirmed = math.lcm(
+                *(valuation_period_bruteforce(p, prog, k, budget)
+                  for p in primes_upto(k))
             )
         if confirmed != expected:
             failures.append(
@@ -254,9 +253,8 @@ def _check_decomposition_case(case, budget):
     k, a, b = case
     prog = Progression(a, b)
     full = smallest_period_bruteforce(prog, k, budget)
-    combined = lcm_many(
-        [valuation_period_bruteforce(p, prog, k, budget) for p in primes_upto(k)]
-        or [1]
+    combined = math.lcm(
+        *(valuation_period_bruteforce(p, prog, k, budget) for p in primes_upto(k))
     )
     if full != combined:
         return [FailureRecord({"k": k, "a": a, "b": b}, full, combined)]
@@ -278,7 +276,7 @@ def _suite_period_decomposition(budget, jobs):
 # --- inclusion-exclusion ------------------------------------------------
 
 def _check_inclusion_exclusion_case(xs):
-    expected = lcm_many(xs)
+    expected = math.lcm(*xs)
     actual = lcm_by_inclusion_exclusion(xs)
     if actual != expected:
         return [FailureRecord({"xs": list(xs)}, expected, actual)]
@@ -319,7 +317,7 @@ def _suite_fast_lcm(budget, jobs):
         else:
             n = rng.randint(1, 10**9)
         cases_run += 1
-        expected = lcm_many(window_terms(table.prog, Window(n, k)))
+        expected = math.lcm(*window_terms(table.prog, Window(n, k)))
         try:
             actual = fast_lcm(table, n)
         except SelfCheckError as exc:
@@ -692,7 +690,7 @@ def _suite_integer_basics(budget, jobs):
     for k in range(31):
         cases_run += 1
         factored = lcm_upto(k)
-        iterated = lcm_many(range(1, k + 1)) if k >= 1 else 1
+        iterated = math.lcm(*range(1, k + 1))
         if factored.value != iterated:
             failures.append(
                 FailureRecord({"check": "lcm-upto", "k": k}, iterated, factored.value)
@@ -719,10 +717,10 @@ def _suite_integer_basics(budget, jobs):
     for _ in range(2000):
         cases_run += 1
         xs = [rng.randint(1, 10**6) for _ in range(rng.randint(1, 8))]
-        total = lcm_many(xs)
+        total = math.lcm(*xs)
         if any(total % x != 0 for x in xs) or math.prod(xs) % total != 0:
             failures.append(
-                FailureRecord({"check": "lcm-many", "xs": xs}, "divides", total)
+                FailureRecord({"check": "lcm", "xs": xs}, "divides", total)
             )
     return cases_run, failures
 

@@ -1,8 +1,24 @@
 import json
+import math
+import sys
+from contextlib import contextmanager
 
 from aplcm.cli import main
+from aplcm.gfun import Progression
+from aplcm.period import smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
+
+
+@contextmanager
+def no_int_str_limit():
+    """Let the test itself render the huge integers it compares."""
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def run(capsys, *argv):
@@ -48,6 +64,16 @@ def test_period_json_uses_decimal_strings(capsys):
     assert result["factors"] == {"3": "1", "5": "1", "7": "1"}
     assert result["oracle"] == "105" and result["oracle_agrees"] is True
     assert payload["inputs"]["k"] == "7"
+
+
+def test_period_json_beyond_the_int_string_limit(capsys):
+    old_limit = sys.get_int_max_str_digits()
+    code, payload, _ = run_json(capsys, "period", "--k", "10000", "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == old_limit
+    expected = smallest_period(Progression(1, 0), 10000).value
+    with no_int_str_limit():
+        assert payload["result"]["period"] == str(expected)
 
 
 def test_g_range(capsys):
@@ -132,6 +158,18 @@ def test_lcm_table_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "lcm", "--k", "2", "--n", "5",
                      "--method", "direct", "--table", str(path))
     assert code == 2
+
+
+def test_lcm_direct_accepts_a_5000_digit_n(capsys):
+    old_limit = sys.get_int_max_str_digits()
+    n_text = "1" + "0" * 4995 + "0007"
+    n = 10**4999 + 7
+    code, out, err = run(capsys, "lcm", "--k", "2", "--n", n_text,
+                         "--method", "direct")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == old_limit
+    with no_int_str_limit():
+        assert out.strip() == str(math.lcm(n, n + 1, n + 2))
 
 
 def test_witness(capsys):
@@ -229,6 +267,11 @@ def test_verify_jobs_do_not_change_json(capsys):
 
 
 def test_budget_env_var(capsys, monkeypatch):
+    monkeypatch.delenv("APLCM_BUDGET", raising=False)
+    code, _, err = run(capsys, "lcm", "--k", "3000", "--n", "5")
+    assert code == 2 and "bits" in err and "budget" in err
+    assert len(err) < 300
+
     monkeypatch.setenv("APLCM_BUDGET", "10")
     code, _, err = run(capsys, "period", "--k", "8", "--verify")
     assert code == 2 and "budget" in err

@@ -7,13 +7,11 @@ from aplcm.gfun import (
     Window,
     count_multiples,
     count_multiples_naive,
-    excess_multiples,
-    ratio_valuation,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
 )
-from aplcm.numtheory import lcm_many, lcm_upto, valuation
+from aplcm.numtheory import lcm_upto, valuation
 
 
 def coprime_pairs(a_max, b_max):
@@ -58,25 +56,24 @@ def test_window_terms():
 def test_window_ratio_values():
     # product / lcm computed by hand: 360 / 60 and 945 / 315
     terms = window_terms(Progression(1, 0), Window(3, 3))
-    assert math.prod(terms) == 360 and lcm_many(terms) == 60
+    assert math.prod(terms) == 360 and math.lcm(*terms) == 60
     assert window_ratio(Progression(1, 0), Window(3, 3)) == 6
 
     terms = window_terms(Progression(2, 1), Window(1, 3))
-    assert math.prod(terms) == 945 and lcm_many(terms) == 315
+    assert math.prod(terms) == 945 and math.lcm(*terms) == 315
     assert window_ratio(Progression(2, 1), Window(1, 3)) == 3
 
     assert window_ratio(Progression(1, 0), Window(1, 0)) == 1
 
 
 def test_ratio_valuation():
-    assert ratio_valuation(2, Progression(1, 0), Window(3, 3)) == 1
-    assert ratio_valuation(3, Progression(1, 0), Window(3, 3)) == 1
-    assert ratio_valuation(5, Progression(1, 0), Window(3, 3)) == 0
+    ratio = window_ratio(Progression(1, 0), Window(3, 3))
+    assert valuation(2, ratio) == 1
+    assert valuation(3, ratio) == 1
+    assert valuation(5, ratio) == 0
 
 
 def test_ratio_valuation_requires_reduced():
-    with pytest.raises(ValueError):
-        ratio_valuation(2, Progression(4, 2), Window(1, 3))
     with pytest.raises(ValueError):
         ratio_valuation_by_counting(2, Progression(4, 2), Window(1, 3))
 
@@ -97,12 +94,6 @@ def test_count_multiples_matches_naive_scan():
                         w = Window(n, k)
                         assert count_multiples(p, e, prog, w) == \
                             count_multiples_naive(p, e, prog, w)
-
-
-def test_excess_multiples():
-    assert excess_multiples(2, 1, Progression(1, 0), Window(3, 3)) == 1
-    assert excess_multiples(2, 2, Progression(1, 0), Window(3, 5)) == 1
-    assert excess_multiples(5, 1, Progression(1, 0), Window(1, 3)) == -1
 
 
 def test_ratio_valuation_by_counting_examples():

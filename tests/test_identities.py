@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from aplcm.identities import (
     load_period_table,
     save_period_table,
 )
-from aplcm.numtheory import lcm_many
 
 
 def test_inclusion_exclusion_examples():
@@ -30,7 +30,7 @@ def test_inclusion_exclusion_matches_lcm_many():
     rng = random.Random(3)
     for _ in range(500):
         xs = [rng.randint(1, 500) for _ in range(rng.randint(2, 8))]
-        assert lcm_by_inclusion_exclusion(xs) == lcm_many(xs)
+        assert lcm_by_inclusion_exclusion(xs) == math.lcm(*xs)
 
 
 def test_inclusion_exclusion_input_guards():
@@ -162,8 +162,6 @@ def test_period_table_length_validation():
 
 
 def test_period_table_entries_divide_scaled_factorial():
-    import math
-
     for a, b, k in ((1, 0, 5), (2, 1, 6), (4, 2, 4), (6, 3, 5)):
         prog = Progression(a, b)
         table = build_period_table(prog, k)
@@ -178,7 +176,7 @@ def test_fast_lcm_examples():
 
     odd = build_period_table(Progression(2, 1), 2)
     n = 10**6
-    assert fast_lcm(odd, n) == lcm_many(window_terms(Progression(2, 1), Window(n, 2)))
+    assert fast_lcm(odd, n) == math.lcm(*window_terms(Progression(2, 1), Window(n, 2)))
 
 
 def test_fast_lcm_matches_direct_across_periods():
@@ -186,7 +184,7 @@ def test_fast_lcm_matches_direct_across_periods():
         prog = Progression(a, b)
         table = build_period_table(prog, k)
         for n in list(range(1, 2 * table.period + 2)) + [10**9, 10**9 + 7]:
-            expected = lcm_many(window_terms(prog, Window(n, k)))
+            expected = math.lcm(*window_terms(prog, Window(n, k)))
             assert fast_lcm(table, n) == expected
 
 

@@ -3,61 +3,23 @@ import random
 
 import pytest
 
+from aplcm import numtheory
 from aplcm.numtheory import (
     FactoredInteger,
-    binomial,
     factorize,
-    gcd,
     integer_log,
     is_prime,
-    lcm_many,
     lcm_upto,
     primes_upto,
     valuation,
 )
 
 
-def brute_lcm(xs):
-    """Scan multiples of max(xs): the least hit divisible by all entries."""
-    top = max(xs)
-    m = top
-    while True:
-        if all(m % x == 0 for x in xs):
-            return m
-        m += top
-
-
-def test_gcd_textbook():
-    assert gcd(12, 18) == 6
-    assert gcd(7, 0) == 7
-    assert gcd(0, 0) == 0
-
-
-def test_gcd_consecutive_odds_coprime():
-    for n in range(1, 101):
-        assert gcd(2 * n + 1, 2 * n + 3) == 1
-
-
-def test_lcm_many_values():
-    assert lcm_many([1, 2, 3, 4]) == 12
-    assert lcm_many([7]) == 7
-    assert lcm_many([10, 11, 12]) == brute_lcm([10, 11, 12]) == 660
-
-
-def test_lcm_many_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lcm_many([])
-    with pytest.raises(ValueError):
-        lcm_many([4, 0, 3])
-
-
-def test_lcm_many_divisibility_random():
-    rng = random.Random(1)
-    for _ in range(300):
-        xs = [rng.randint(1, 10**6) for _ in range(rng.randint(1, 8))]
-        total = lcm_many(xs)
-        assert all(total % x == 0 for x in xs)
-        assert math.prod(xs) % total == 0
+def trial_division_is_prime(n):
+    """Oracle kept apart from the sieve that is_prime answers from."""
+    if n < 2:
+        return False
+    return all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def test_primes_upto_small():
@@ -69,7 +31,9 @@ def test_primes_upto_small():
 
 def test_primes_upto_matches_trial_division():
     for k in (0, 2, 50, 200):
-        assert primes_upto(k) == [n for n in range(2, k + 1) if is_prime(n)]
+        assert primes_upto(k) == [
+            n for n in range(2, k + 1) if trial_division_is_prime(n)
+        ]
 
 
 def test_primes_upto_cache_growth_is_transparent():
@@ -82,6 +46,20 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(-3, 40):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_across_the_sieve_limit():
+    primes_upto(1000)
+    limit = numtheory._prime_cache_limit
+    for n in range(-3, limit + 201):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_after_sieve_growth():
+    primes_upto(10**4)
+    assert numtheory._prime_cache_limit >= 10**4
+    for n in range(2001):
+        assert is_prime(n) == trial_division_is_prime(n), n
 
 
 def test_valuation():
@@ -129,7 +107,7 @@ def test_lcm_upto_values():
 
 def test_lcm_upto_matches_iterated_lcm():
     for k in range(1, 41):
-        assert lcm_upto(k).value == lcm_many(range(1, k + 1))
+        assert lcm_upto(k).value == math.lcm(*range(1, k + 1))
 
 
 def test_lcm_upto_exponents_are_max_powers():
@@ -137,18 +115,6 @@ def test_lcm_upto_exponents_are_max_powers():
         value = lcm_upto(k).value
         for p in primes_upto(k):
             assert valuation(p, value) == integer_log(p, k)
-
-
-def test_binomial():
-    assert binomial(4, 2) == 6
-    assert binomial(10, 0) == 1
-    # multiplicative-formula oracle
-    acc = 1
-    for i in range(1, 11):
-        acc = acc * (10 + i) // i
-    assert binomial(20, 10) == acc == 184756
-    with pytest.raises(ValueError):
-        binomial(3, 4)
 
 
 def test_factored_integer_canonical():
@@ -164,6 +130,14 @@ def test_factored_integer_rejects_bad_factors():
         FactoredInteger({4: 1})
     with pytest.raises(ValueError):
         FactoredInteger({2: -1})
+
+
+def test_factored_integer_rejects_composites_with_warm_sieve():
+    primes_upto(10**4)
+    with pytest.raises(ValueError):
+        FactoredInteger({4: 1})
+    with pytest.raises(ValueError):
+        FactoredInteger({1_000_003 * 3: 1})
 
 
 def test_factored_integer_divisors():

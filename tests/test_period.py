@@ -4,9 +4,8 @@ import pytest
 
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
-from aplcm.numtheory import integer_log, lcm_many, lcm_upto, primes_upto, valuation
+from aplcm.numtheory import integer_log, lcm_upto, primes_upto, valuation
 from aplcm.period import (
-    closed_form_period,
     exceptional_factor,
     nonperiod_witness,
     smallest_period,
@@ -36,14 +35,14 @@ def test_exceptional_factor_examples():
 
 def test_closed_form_period_examples():
     for k, a, expected in ((2, 1, 2), (3, 1, 3), (5, 2, 5), (0, 7, 1)):
-        assert closed_form_period(k, a).value == expected
+        assert smallest_period(Progression(a, 1), k).value == expected
 
 
 def test_closed_form_matches_bruteforce_for_coprime_pairs():
     for k in range(6):
         for a, b in coprime_pairs(6, 6):
             prog = Progression(a, b)
-            assert closed_form_period(k, a).value == \
+            assert smallest_period(prog, k).value == \
                 smallest_period_bruteforce(prog, k)
 
 
@@ -75,14 +74,13 @@ def test_period_report_structure():
 
 
 def test_period_report_identities_hold_across_sweep():
-    for k in range(9):
-        lk = lcm_upto(k).value
-        for a in range(1, 11):
-            for b in range(11):
-                report = smallest_period(Progression(a, b), k)
-                removed = math.prod(q**e for q, e in report.removed_primes)
-                assert report.value * report.exceptional * removed == lk
-                assert math.prod(report.per_prime.values()) == report.value
+    cases = [(k, a, b) for k in range(9) for a in range(1, 11) for b in range(11)]
+    cases += [(k, a, 1) for k in (100, 1000, 10**4) for a in (1, 6, 35)]
+    for k, a, b in cases:
+        report = smallest_period(Progression(a, b), k)
+        removed = math.prod(q**e for q, e in report.removed_primes)
+        assert report.value * report.exceptional * removed == lcm_upto(k).value
+        assert math.prod(report.per_prime.values()) == report.value
 
 
 def test_bruteforce_small_examples():
@@ -97,7 +95,7 @@ def test_bruteforce_small_examples():
 def test_bruteforce_budget_guard():
     with pytest.raises(BudgetExceededError):
         smallest_period_bruteforce(Progression(1, 0), 8, budget=100)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"work ~2\^\d+ > budget"):
         smallest_period_bruteforce(Progression(1, 0), 13)
 
 
@@ -128,8 +126,8 @@ def test_full_period_is_lcm_of_valuation_periods():
             prog = Progression(a, b)
             parts = [
                 valuation_period_bruteforce(p, prog, k) for p in primes_upto(k)
-            ] or [1]
-            assert smallest_period_bruteforce(prog, k) == lcm_many(parts)
+            ]
+            assert smallest_period_bruteforce(prog, k) == math.lcm(*parts)
 
 
 def test_nonperiod_witness_examples():
