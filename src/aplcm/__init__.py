@@ -30,6 +30,7 @@ from .numtheory import (
     factorize,
     integer_log,
     is_prime,
+    lcm_many,
     lcm_upto,
     primes_upto,
     valuation,
@@ -37,6 +38,7 @@ from .numtheory import (
 from .period import (
     DEFAULT_BUDGET,
     PeriodReport,
+    closed_form_period,
     exceptional_factor,
     nonperiod_witness,
     smallest_period,
@@ -63,6 +65,7 @@ __all__ = [
     "check_lcm_bounds",
     "check_ratio_recursion",
     "check_window_divisibility",
+    "closed_form_period",
     "count_multiples",
     "count_multiples_naive",
     "exceptional_factor",
@@ -71,6 +74,7 @@ __all__ = [
     "integer_log",
     "is_prime",
     "lcm_by_inclusion_exclusion",
+    "lcm_many",
     "lcm_upto",
     "load_period_table",
     "nonperiod_witness",

@@ -1,4 +1,4 @@
-"""Exact integer primitives: primes, valuations, factored integers.
+"""Exact integer primitives: primes, lcm, valuations, factored integers.
 
 Everything here is pure and works on Python's native arbitrary-precision
 integers; nothing ever goes through floating point.
@@ -15,10 +15,25 @@ __all__ = [
     "factorize",
     "integer_log",
     "is_prime",
+    "lcm_many",
     "lcm_upto",
     "primes_upto",
     "valuation",
 ]
+
+
+def lcm_many(xs) -> int:
+    """Least common multiple of a non-empty sequence of positive integers.
+
+    math.lcm with the input checks it lacks. The package calls math.lcm
+    directly; this stays public because bench/workloads.py times it.
+    """
+    xs = list(xs)
+    if not xs:
+        raise ValueError("lcm of an empty sequence")
+    if min(xs) < 1:
+        raise ValueError(f"lcm requires positive entries, got {min(xs)}")
+    return math.lcm(*xs)
 
 
 def is_prime(n: int) -> bool:

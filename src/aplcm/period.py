@@ -31,6 +31,7 @@ from .numtheory import (
 __all__ = [
     "DEFAULT_BUDGET",
     "PeriodReport",
+    "closed_form_period",
     "exceptional_factor",
     "nonperiod_witness",
     "smallest_period",
@@ -142,6 +143,15 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
         removed_primes=removed,
         per_prime=per_prime,
     )
+
+
+def closed_form_period(k: int, a: int) -> FactoredInteger:
+    """Closed-form smallest period for a reduced difference a >= 1.
+
+    The closed_form of smallest_period(Progression(a, 1), k); stays
+    public because bench/workloads.py times it.
+    """
+    return smallest_period(Progression(a, 1), k).closed_form
 
 
 def smallest_period_bruteforce(

@@ -3,11 +3,19 @@ import math
 import sys
 from contextlib import contextmanager
 
+import pytest
+
 from aplcm.cli import main
 from aplcm.gfun import Progression
 from aplcm.period import smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
+
+# The int/str digit limit exists from Python 3.10.7 and 3.11 on.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no int/str digit limit",
+)
 
 
 @contextmanager
@@ -66,6 +74,7 @@ def test_period_json_uses_decimal_strings(capsys):
     assert payload["inputs"]["k"] == "7"
 
 
+@needs_digit_limit
 def test_period_json_beyond_the_int_string_limit(capsys):
     old_limit = sys.get_int_max_str_digits()
     code, payload, _ = run_json(capsys, "period", "--k", "10000", "--json")
@@ -74,6 +83,13 @@ def test_period_json_beyond_the_int_string_limit(capsys):
     expected = smallest_period(Progression(1, 0), 10000).value
     with no_int_str_limit():
         assert payload["result"]["period"] == str(expected)
+
+
+def test_runs_without_a_digit_limit(capsys, monkeypatch):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, payload, _ = run_json(capsys, "period", "--k", "7", "--json")
+    assert code == 0
+    assert payload["result"]["period"] == "105"
 
 
 def test_g_range(capsys):
@@ -160,6 +176,7 @@ def test_lcm_table_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@needs_digit_limit
 def test_lcm_direct_accepts_a_5000_digit_n(capsys):
     old_limit = sys.get_int_max_str_digits()
     n_text = "1" + "0" * 4995 + "0007"

@@ -9,10 +9,21 @@ from aplcm.numtheory import (
     factorize,
     integer_log,
     is_prime,
+    lcm_many,
     lcm_upto,
     primes_upto,
     valuation,
 )
+
+
+def brute_lcm(xs):
+    """Scan multiples of max(xs): the least hit divisible by all entries."""
+    top = max(xs)
+    m = top
+    while True:
+        if all(m % x == 0 for x in xs):
+            return m
+        m += top
 
 
 def trial_division_is_prime(n):
@@ -20,6 +31,28 @@ def trial_division_is_prime(n):
     if n < 2:
         return False
     return all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_lcm_many_values():
+    assert lcm_many([1, 2, 3, 4]) == 12
+    assert lcm_many([7]) == 7
+    assert lcm_many([10, 11, 12]) == brute_lcm([10, 11, 12]) == 660
+
+
+def test_lcm_many_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lcm_many([])
+    with pytest.raises(ValueError):
+        lcm_many([4, 0, 3])
+
+
+def test_lcm_many_divisibility_random():
+    rng = random.Random(1)
+    for _ in range(300):
+        xs = [rng.randint(1, 10**6) for _ in range(rng.randint(1, 8))]
+        total = lcm_many(xs)
+        assert all(total % x == 0 for x in xs)
+        assert math.prod(xs) % total == 0
 
 
 def test_primes_upto_small():

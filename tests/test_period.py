@@ -6,6 +6,7 @@ from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
 from aplcm.numtheory import integer_log, lcm_upto, primes_upto, valuation
 from aplcm.period import (
+    closed_form_period,
     exceptional_factor,
     nonperiod_witness,
     smallest_period,
@@ -35,7 +36,7 @@ def test_exceptional_factor_examples():
 
 def test_closed_form_period_examples():
     for k, a, expected in ((2, 1, 2), (3, 1, 3), (5, 2, 5), (0, 7, 1)):
-        assert smallest_period(Progression(a, 1), k).value == expected
+        assert closed_form_period(k, a).value == expected
 
 
 def test_closed_form_matches_bruteforce_for_coprime_pairs():
