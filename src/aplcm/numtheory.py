@@ -7,8 +7,10 @@ integers; nothing ever goes through floating point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 
 __all__ = [
     "FactoredInteger",
@@ -43,9 +45,8 @@ def is_prime(n: int) -> bool:
     division (intended for small n) otherwise.
     """
     if n <= _prime_cache_limit:
-        primes = _prime_cache
-        i = bisect_left(primes, n)
-        return i < len(primes) and primes[i] == n
+        # n >= 2 first: a negative index would read the flags from the end.
+        return n >= 2 and _prime_flags[n] == 1
     if n % 2 == 0:
         return n == 2
     f = 3
@@ -56,14 +57,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Growing shared sieve; the immutable tuple is swapped in before the limit,
-# so concurrent readers that see a limit also see a sieve covering it.
+# Growing shared sieve: the primes and their flags (flags[n] == 1 iff n is
+# prime). Both immutable objects are swapped in before the limit, so
+# concurrent readers that see a limit also see primes and flags covering it.
 _prime_cache: tuple[int, ...] = ()
+_prime_flags = b""
 _prime_cache_limit = 1
 
 
 def _grow_prime_cache(limit: int) -> None:
-    global _prime_cache, _prime_cache_limit
+    global _prime_cache, _prime_flags, _prime_cache_limit
     limit = max(limit, 2 * _prime_cache_limit, 1024)
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
@@ -71,7 +74,8 @@ def _grow_prime_cache(limit: int) -> None:
         if sieve[p]:
             start = p * p
             sieve[start : limit + 1 : p] = bytes((limit - start) // p + 1)
-    _prime_cache = tuple(i for i, flag in enumerate(sieve) if flag)
+    _prime_flags = bytes(sieve)
+    _prime_cache = tuple(compress(range(limit + 1), sieve))
     _prime_cache_limit = limit
 
 
@@ -82,6 +86,22 @@ def primes_upto(k: int) -> list[int]:
     if k > _prime_cache_limit:
         _grow_prime_cache(k)
     return list(_prime_cache[: bisect_right(_prime_cache, k)])
+
+
+def _product_tree(xs) -> int:
+    """Product of xs by a balanced tree (1 for an empty input).
+
+    Multiplies neighbours pairwise until one value is left, so the big
+    multiplications pair operands of similar size. That is sub-quadratic
+    for thousands of large factors, where a left-to-right math.prod is
+    quadratic in the bit length; for a few dozen small terms math.prod
+    is faster.
+    """
+    xs = list(xs) or [1]
+    while len(xs) > 1:
+        odd = xs[-1:] if len(xs) % 2 else []
+        xs = [*map(operator.mul, xs[::2], xs[1::2]), *odd]
+    return xs[0]
 
 
 def valuation(p: int, x: int) -> int:
@@ -168,7 +188,7 @@ class FactoredInteger:
             canonical[p] = e
         object.__setattr__(self, "factors", canonical)
         object.__setattr__(
-            self, "value", math.prod(p**e for p, e in canonical.items())
+            self, "value", _product_tree([p**e for p, e in canonical.items()])
         )
 
     def divisors(self) -> list[int]:

@@ -244,14 +244,15 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     """
     if not prog.is_reduced:
         raise ValueError("witness construction requires a reduced progression")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if prog.a % p == 0:
-        raise ValueError(f"prime {p} divides the difference a={prog.a}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    # The O(1) checks come before primality, whose cost grows with p.
     if p > k:
-        raise ValueError(f"prime {p} exceeds k={k}")
+        raise ValueError(f"{p} exceeds k={k}")
+    if p >= 2 and prog.a % p == 0:
+        raise ValueError(f"{p} divides the difference a={prog.a}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     max_exp = integer_log(p, k)
     if valuation(p, k + 1) >= max_exp:
         raise ValueError(

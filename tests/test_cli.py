@@ -203,6 +203,9 @@ def test_witness(capsys):
 def test_witness_precondition_exit(capsys):
     code, _, err = run(capsys, "witness", "--k", "3", "--p", "2")
     assert code == 2 and "maximal" in err
+    # Composite (101 divides it), so "exceeds" shows p > k is checked first.
+    code, _, err = run(capsys, "witness", "--k", "10", "--p", str(10**30 + 1))
+    assert code == 2 and "exceeds" in err
 
 
 def test_table_tsv(capsys):

@@ -6,6 +6,7 @@ import pytest
 from aplcm import numtheory
 from aplcm.numtheory import (
     FactoredInteger,
+    _product_tree,
     factorize,
     integer_log,
     is_prime,
@@ -95,6 +96,24 @@ def test_is_prime_after_sieve_growth():
         assert is_prime(n) == trial_division_is_prime(n), n
 
 
+def test_is_prime_is_false_for_negatives_inside_the_sieve():
+    # A negative index would read the sieve flags from the end.
+    primes_upto(10**4)
+    limit = numtheory._prime_cache_limit
+    assert not any(is_prime(-n) for n in range(1, limit + 1))
+
+
+def test_product_tree_matches_math_prod():
+    rng = random.Random(5)
+    for length in range(41):
+        xs = [rng.randint(1, 10**12) for _ in range(length)]
+        assert _product_tree(xs) == math.prod(xs)
+    assert _product_tree([]) == 1
+    k = 10**5
+    powers = [p ** integer_log(p, k) for p in primes_upto(k)]
+    assert _product_tree(powers) == math.prod(powers)
+
+
 def test_valuation():
     assert valuation(2, 8) == 3
     assert valuation(3, 10) == 0
@@ -140,6 +159,11 @@ def test_lcm_upto_values():
 
 def test_lcm_upto_matches_iterated_lcm():
     for k in range(1, 41):
+        assert lcm_upto(k).value == math.lcm(*range(1, k + 1))
+
+
+def test_lcm_upto_matches_math_lcm_at_larger_k():
+    for k in (1000, 5000):
         assert lcm_upto(k).value == math.lcm(*range(1, k + 1))
 
 

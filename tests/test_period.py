@@ -4,7 +4,13 @@ import pytest
 
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
-from aplcm.numtheory import integer_log, lcm_upto, primes_upto, valuation
+from aplcm.numtheory import (
+    _product_tree,
+    integer_log,
+    lcm_upto,
+    primes_upto,
+    valuation,
+)
 from aplcm.period import (
     closed_form_period,
     exceptional_factor,
@@ -77,11 +83,12 @@ def test_period_report_structure():
 def test_period_report_identities_hold_across_sweep():
     cases = [(k, a, b) for k in range(9) for a in range(1, 11) for b in range(11)]
     cases += [(k, a, 1) for k in (100, 1000, 10**4) for a in (1, 6, 35)]
+    cases += [(10**5, 7, 3), (10**6, 7, 3)]
     for k, a, b in cases:
         report = smallest_period(Progression(a, b), k)
-        removed = math.prod(q**e for q, e in report.removed_primes)
+        removed = _product_tree(q**e for q, e in report.removed_primes)
         assert report.value * report.exceptional * removed == lcm_upto(k).value
-        assert math.prod(report.per_prime.values()) == report.value
+        assert _product_tree(report.per_prime.values()) == report.value
 
 
 def test_bruteforce_small_examples():
