@@ -32,7 +32,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import integer_log, is_prime, lcm_upto
+from .numtheory import MILLER_RABIN_BOUND, integer_log, is_prime, lcm_upto
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -204,6 +204,11 @@ def cmd_g(args) -> int:
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
     if args.p is not None:
+        if args.p >= MILLER_RABIN_BOUND:
+            raise ValueError(
+                f"--p must be below {MILLER_RABIN_BOUND}, where primality "
+                "is decided in bounded time"
+            )
         if not is_prime(args.p):
             raise ValueError(f"--p expects a prime, got {args.p}")
         if not prog.is_reduced:
@@ -243,6 +248,20 @@ def _acquire_table(prog, k, path, budget):
     return table
 
 
+def _certify_lcm(terms, value: int) -> None:
+    """Raise SelfCheckError unless value is lcm(terms).
+
+    value is a common multiple iff every term divides it, and the least
+    one iff the cofactors value // t then have gcd 1.
+    """
+    cofactors = [value // t for t in terms]
+    if any(value % t for t in terms) or math.gcd(*cofactors) != 1:
+        raise SelfCheckError(
+            f"period-table value {value} is not the lcm of the window "
+            f"terms {terms[0]}..{terms[-1]}"
+        )
+
+
 def cmd_lcm(args) -> int:
     started = perf_counter()
     prog = Progression(args.a, args.b)
@@ -252,12 +271,17 @@ def cmd_lcm(args) -> int:
     if args.table is not None and method == "direct":
         raise ValueError("--table is only meaningful with the period method")
 
+    terms = window_terms(prog, Window(args.n, args.k))
     direct = period_val = None
     if method in ("direct", "both"):
-        direct = math.lcm(*window_terms(prog, Window(args.n, args.k)))
+        direct = math.lcm(*terms)
     if method in ("period", "both"):
         table = _acquire_table(prog, args.k, args.table, resolve_budget(None))
         period_val = fast_lcm(table, args.n)
+        if direct is None:
+            # Without the direct lcm to compare against, a table file could
+            # otherwise yield a wrong answer unnoticed.
+            _certify_lcm(terms, period_val)
 
     mismatch = direct is not None and period_val is not None and direct != period_val
     value = direct if direct is not None else period_val

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .numtheory import integer_log, is_prime
+from .numtheory import is_prime
 
 __all__ = [
     "Progression",
@@ -35,7 +36,9 @@ class Progression:
     """Arithmetic progression b + m*a with a >= 1, b >= 0.
 
     Carries its gcd reduction: d = gcd(a, b) (so d = a when b = 0) and
-    the coprime pair (a_reduced, b_reduced) = (a/d, b/d).
+    the coprime pair (a_reduced, b_reduced) = (a/d, b/d). d is computed
+    once per instance and kept outside the fields, so equality, hashing
+    and pickling see only (a, b).
     """
 
     a: int
@@ -47,7 +50,7 @@ class Progression:
         if self.b < 0:
             raise ValueError(f"offset b must be >= 0, got {self.b}")
 
-    @property
+    @cached_property
     def d(self) -> int:
         return math.gcd(self.a, self.b)
 
@@ -84,9 +87,24 @@ class Window:
             raise ValueError(f"window parameter k must be >= 0, got {self.k}")
 
 
+def _terms(a: int, b: int, n: int, k: int) -> range:
+    """The window terms b + n*a, ..., b + (n+k)*a, unvalidated."""
+    first = b + n * a
+    return range(first, first + (k + 1) * a, a)
+
+
+def _ratio(a: int, b: int, n: int, k: int) -> int:
+    """window_ratio without validation, for loops whose indices are valid
+    by construction."""
+    # _terms inlined: this runs once per window in the brute-force oracles.
+    first = b + n * a
+    terms = tuple(range(first, first + (k + 1) * a, a))
+    return math.prod(terms) // math.lcm(*terms)
+
+
 def window_terms(prog: Progression, w: Window) -> list[int]:
     """The k + 1 window terms, strictly increasing, all >= 1."""
-    return [prog.b + (w.n + i) * prog.a for i in range(w.k + 1)]
+    return list(_terms(prog.a, prog.b, w.n, w.k))
 
 
 def window_ratio(prog: Progression, w: Window) -> int:
@@ -95,16 +113,46 @@ def window_ratio(prog: Progression, w: Window) -> int:
     Computed straight from the definition even for non-reduced
     progressions, so scaling identities stay genuine cross-checks.
     """
-    terms = window_terms(prog, w)
-    return math.prod(terms) // math.lcm(*terms)
+    return _ratio(prog.a, prog.b, w.n, w.k)
 
 
 def _require_reduced(prog: Progression) -> None:
-    if not prog.is_reduced:
+    if prog.d != 1:
         raise ValueError(
             f"progression ({prog.a}, {prog.b}) has gcd {prog.d} > 1; "
             "pass the reduced progression"
         )
+
+
+def _first_multiple(pe: int, a: int, b: int, n: int) -> int:
+    """Offset in [0, pe) of the first term b + (n+i)*a divisible by pe,
+    for a coprime to pe (see count_multiples)."""
+    return (-b * pow(a, -1, pe) - n) % pe
+
+
+def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
+    """ratio_valuation_by_counting without validation (a, b coprime, p
+    prime).
+
+    The multiples of p**e among the k + 1 terms start at offset r, so
+    there are (k - r) // p**e of them beyond the first; r < p**e <= k.
+    """
+    if a % p == 0:
+        return 0
+    total = 0
+    pe = p
+    while pe <= k:
+        total += (k - _first_multiple(pe, a, b, n)) // pe
+        pe *= p
+    return total
+
+
+def _check_count_args(p: int, e: int, prog: Progression) -> None:
+    _require_reduced(prog)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if e < 1:
+        raise ValueError(f"exponent e must be >= 1, got {e}")
 
 
 def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
@@ -116,16 +164,11 @@ def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
     [0, k]. Returns 0 when p divides a: a reduced progression then has
     no term divisible by p at all.
     """
-    _require_reduced(prog)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if e < 1:
-        raise ValueError(f"exponent e must be >= 1, got {e}")
+    _check_count_args(p, e, prog)
     if prog.a % p == 0:
         return 0
     pe = p**e
-    a_inv = pow(prog.a, -1, pe)
-    r = (-prog.b * a_inv - w.n) % pe
+    r = _first_multiple(pe, prog.a, prog.b, w.n)
     if r > w.k:
         return 0
     return (w.k - r) // pe + 1
@@ -133,13 +176,9 @@ def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
 
 def count_multiples_naive(p: int, e: int, prog: Progression, w: Window) -> int:
     """Same count by scanning every term; the oracle for count_multiples."""
-    _require_reduced(prog)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if e < 1:
-        raise ValueError(f"exponent e must be >= 1, got {e}")
+    _check_count_args(p, e, prog)
     pe = p**e
-    return sum(1 for t in window_terms(prog, w) if t % pe == 0)
+    return sum(1 for t in _terms(prog.a, prog.b, w.n, w.k) if t % pe == 0)
 
 
 def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:
@@ -154,9 +193,4 @@ def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:
     _require_reduced(prog)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if w.k < 1 or prog.a % p == 0 or p > w.k:
-        return 0
-    total = 0
-    for e in range(1, integer_log(p, w.k) + 1):
-        total += max(0, count_multiples(p, e, prog, w) - 1)
-    return total
+    return _counted_valuation(p, prog.a, prog.b, w.n, w.k)

@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError
-from .gfun import Progression, Window, window_ratio, window_terms
+from .gfun import Progression, Window, _ratio, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
@@ -107,12 +107,16 @@ class GcdTransferReport:
 
 
 def _adjusted_ratio(xs: list[int], t: int) -> Fraction:
-    inv = Fraction(math.prod(xs), math.lcm(*xs))
+    # Odd-size subset gcds multiply the numerator, even-size ones the
+    # denominator; the fraction is reduced once at the end.
+    num, den = math.prod(xs), math.lcm(*xs)
     for r in range(2, t):
-        for comb in combinations(xs, r):
-            g = math.gcd(*comb)
-            inv = inv * g if r % 2 == 1 else inv / g
-    return inv
+        g = math.prod(math.gcd(*comb) for comb in combinations(xs, r))
+        if r % 2 == 1:
+            num *= g
+        else:
+            den *= g
+    return Fraction(num, den)
 
 
 def check_gcd_transfer(xs_a, xs_b, t: int) -> GcdTransferReport:
@@ -128,8 +132,8 @@ def check_gcd_transfer(xs_a, xs_b, t: int) -> GcdTransferReport:
         raise ValueError("entries must be positive")
 
     hypothesis = all(
-        math.gcd(*(xs_a[i] for i in idx)) == math.gcd(*(xs_b[i] for i in idx))
-        for idx in combinations(range(n), t)
+        math.gcd(*ca) == math.gcd(*cb)
+        for ca, cb in zip(combinations(xs_a, t), combinations(xs_b, t))
     )
     if not hypothesis:
         return GcdTransferReport(t, False, None, None, None)
@@ -189,8 +193,9 @@ class WindowDivisibilityReport:
 
 
 def check_window_divisibility(prog: Progression, w: Window) -> WindowDivisibilityReport:
-    terms = window_terms(prog, w)
-    d01 = math.gcd(prog.term(w.n), prog.term(w.n + 1))
+    terms = _terms(prog.a, prog.b, w.n, w.k)
+    # t1 = t0 + a, also when k = 0 and the window holds t0 alone.
+    d01 = math.gcd(terms[0], terms[0] + prog.a)
     product = math.prod(terms)
     bound = math.lcm(*terms) * math.factorial(w.k) * d01**w.k
     return WindowDivisibilityReport(product, bound, bound % product == 0)
@@ -204,9 +209,8 @@ def check_ratio_recursion(k: int, n: int) -> bool:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    prog = Progression(1, 0)
-    current = window_ratio(prog, Window(n, k))
-    previous = window_ratio(prog, Window(n, k - 1))
+    current = _ratio(1, 0, n, k)
+    previous = _ratio(1, 0, n, k - 1)
     return current == math.gcd(math.factorial(k), (n + k) * previous)
 
 
@@ -241,9 +245,9 @@ def build_period_table(
             f"period has {period.bit_length()} bits; with k={k} the table "
             f"exceeds the budget {budget}"
         )
-    values = [window_ratio(prog, Window(period, k))] + [
-        window_ratio(prog, Window(n, k)) for n in range(1, period)
-    ]
+    a, b = prog.a, prog.b
+    # n = period stands in for residue 0 (n = 0 would give a zero term).
+    values = [_ratio(a, b, n, k) for n in (period, *range(1, period))]
     return PeriodTable(prog, k, period, tuple(values))
 
 
@@ -253,7 +257,7 @@ def fast_lcm(table: PeriodTable, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    product = math.prod(window_terms(table.prog, Window(n, table.k)))
+    product = math.prod(_terms(table.prog.a, table.prog.b, n, table.k))
     quotient, remainder = divmod(product, table.values[n % table.period])
     if remainder:
         raise SelfCheckError(

@@ -14,6 +14,7 @@ from itertools import compress
 
 __all__ = [
     "FactoredInteger",
+    "MILLER_RABIN_BOUND",
     "factorize",
     "integer_log",
     "is_prime",
@@ -38,18 +39,45 @@ def lcm_many(xs) -> int:
     return math.lcm(*xs)
 
 
+# The first 13 primes. Miller-Rabin to these bases is exact for every
+# n < MILLER_RABIN_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Miller-Rabin round: is odd n > base a strong probable prime?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Answered from the shared sieve when it already covers n, by trial
-    division (intended for small n) otherwise.
+    Answered from the shared sieve when it already covers n, by
+    Miller-Rabin to the first 13 prime bases below MILLER_RABIN_BOUND
+    (where that is exact), and by trial division above it.
     """
     if n <= _prime_cache_limit:
         # n >= 2 first: a negative index would read the flags from the end.
         return n >= 2 and _prime_flags[n] == 1
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < MILLER_RABIN_BOUND:
+        return all(_strong_probable_prime(n, base) for base in _MR_BASES)
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False
@@ -209,8 +237,12 @@ class FactoredInteger:
 def lcm_upto(k: int) -> FactoredInteger:
     """lcm(1, 2, ..., k) in factored form; defined as 1 for k < 2.
 
-    The exponent of each prime p <= k is the largest e with p**e <= k.
+    The exponent of each prime p <= k is the largest e with p**e <= k,
+    which is 1 for every p above isqrt(k).
     """
     if k < 0:
         raise ValueError(f"lcm_upto requires k >= 0, got {k}")
-    return FactoredInteger({p: integer_log(p, k) for p in primes_upto(k)})
+    root = math.isqrt(k)
+    return FactoredInteger(
+        {p: 1 if p > root else integer_log(p, k) for p in primes_upto(k)}
+    )

@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, SelfCheckError
-from .gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
+from .gfun import (
+    Progression,
+    Window,
+    _counted_valuation,
+    _ratio,
+    ratio_valuation_by_counting,
+)
 from .numtheory import (
     FactoredInteger,
     factorize,
@@ -122,8 +128,10 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
     kept: dict[int, int] = {}
     removed: list[tuple[int, int]] = []
     per_prime: dict[int, int] = {}
+    root = math.isqrt(k)
     for p in primes_upto(k):
-        e = integer_log(p, k)
+        # Every prime above isqrt(k) has exponent 1.
+        e = 1 if p > root else integer_log(p, k)
         if ar % p == 0:
             removed.append((p, e))
             per_prime[p] = 1
@@ -178,11 +186,12 @@ def smallest_period_bruteforce(
             f"> budget {budget}"
         )
     divisors = lf.divisors()
-    ratios = [0] + [
-        window_ratio(prog, Window(n, k)) for n in range(1, 2 * big_l + 1)
-    ]
+    a, b = prog.a, prog.b
+    ratios = [_ratio(a, b, n, k) for n in range(1, 2 * big_l + 1)]
+    # ratios[n - 1] is the ratio at n; t is a period iff the ratios at
+    # n + t equal those at n for every n in 1..L.
     for t in divisors:
-        if all(ratios[n + t] == ratios[n] for n in range(1, big_l + 1)):
+        if ratios[t : t + big_l] == ratios[:big_l]:
             return t
     raise SelfCheckError(
         f"no divisor of lcm(1..{k}) is a period for (a={prog.a}, b={prog.b})"
@@ -215,13 +224,11 @@ def valuation_period_bruteforce(
             f"valuation-period search for p={p}, k={k} needs work ~{work} "
             f"> budget {budget}"
         )
-    vals = [0] + [
-        ratio_valuation_by_counting(p, prog, Window(n, k))
-        for n in range(1, 2 * span + 1)
-    ]
+    a, b = prog.a, prog.b
+    vals = [_counted_valuation(p, a, b, n, k) for n in range(1, 2 * span + 1)]
     for e in range(max_exp + 1):
         t = p**e
-        if all(vals[n + t] == vals[n] for n in range(1, span + 1)):
+        if vals[t : t + span] == vals[:span]:
             return t
     raise SelfCheckError(
         f"p**{max_exp} is not a period of the valuation at p={p} for "

@@ -586,9 +586,10 @@ def _check_window_counts_case(case, n_max):
     failures = []
     for k in range(1, 8):
         max_exp = integer_log(p, k) if p <= k else 0
+        windows = [Window(n, k) for n in range(1, n_max + 1)]
         for e in range(1, 5):
-            for n in range(1, n_max + 1):
-                w = Window(n, k)
+            for w in windows:
+                n = w.n
                 fast = count_multiples(p, e, prog, w)
                 slow = count_multiples_naive(p, e, prog, w)
                 if fast != slow:

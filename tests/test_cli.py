@@ -7,6 +7,7 @@ import pytest
 
 from aplcm.cli import main
 from aplcm.gfun import Progression
+from aplcm.numtheory import MILLER_RABIN_BOUND
 from aplcm.period import smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
@@ -127,6 +128,17 @@ def test_g_usage_errors(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_g_valuation_prime_is_bounded(capsys):
+    # A prime near 10^14 and 2**61 - 1: Miller-Rabin, no trial division.
+    for p in (100000000000031, 2**61 - 1):
+        code, out, _ = run(capsys, "g", "--k", "3", "--n", "1", "--p", str(p))
+        assert code == 0 and out.strip() == "0"
+    # At the bound the input is refused before any primality test runs.
+    code, _, err = run(capsys, "g", "--k", "3", "--n", "1",
+                       "--p", str(MILLER_RABIN_BOUND))
+    assert code == 2 and "must be below" in err
+
+
 def test_lcm_runs_both_methods_by_default(capsys):
     code, out, _ = run(capsys, "lcm", "--k", "2", "--n", "10")
     assert code == 0 and out.strip() == "660"
@@ -159,6 +171,26 @@ def test_lcm_mismatch_tripwire(capsys, tmp_path):
     code, _, err = run(capsys, "lcm", "--k", "2", "--n", "10",
                        "--table", str(path))
     assert code == 1 and "mismatch" in err
+
+
+def test_lcm_period_method_certifies_a_table_file(capsys, tmp_path):
+    # lcm(10, 11, 12) = 660; the tampered ratio 1 would give 1320.
+    path = tmp_path / "tampered.txt"
+    path.write_text("aplcm-table v1 a=1 b=0 k=2 period=2\n1\n1\n")
+    code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10",
+                         "--method", "period", "--table", str(path))
+    assert code == 1 and out == "" and "not the lcm" in err
+
+    path = tmp_path / "valid.txt"
+    for argv in (("--k", "2", "--n", "10"), ("--k", "6", "--a", "6",
+                                             "--b", "4", "--n", "99")):
+        path.unlink(missing_ok=True)
+        for _ in range(2):  # build the file, then load it
+            code, out, _ = run(capsys, "lcm", *argv, "--method", "period",
+                               "--table", str(path))
+            assert code == 0
+        direct = run(capsys, "lcm", *argv, "--method", "direct")[1]
+        assert out == direct
 
 
 def test_lcm_table_usage_errors(capsys, tmp_path):

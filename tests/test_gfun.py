@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -167,3 +169,61 @@ def test_shift_by_lcm_preserves_ratio():
                 for n in range(1, 41):
                     assert window_ratio(prog, Window(n, k)) == \
                         window_ratio(prog, Window(n + shift, k))
+
+
+def test_window_kernel_matches_the_definition():
+    for a in range(1, 13):
+        for b in range(13):
+            prog = Progression(a, b)
+            for k in range(11):
+                for n in (1, 2, 7, 30):
+                    w = Window(n, k)
+                    explicit = [b + (n + i) * a for i in range(k + 1)]
+                    assert window_terms(prog, w) == explicit
+                    assert window_ratio(prog, w) == \
+                        math.prod(explicit) // math.lcm(*explicit)
+
+
+def test_counting_valuation_is_the_sum_of_excess_multiples():
+    # Every multiple of p**e beyond the first adds one factor p; for
+    # k <= 8 no power above p**5 can matter.
+    for k in range(9):
+        for a, b in coprime_pairs(6, 6):
+            prog = Progression(a, b)
+            for n in range(1, 41):
+                w = Window(n, k)
+                for p in (2, 3, 5, 7):
+                    excess = sum(
+                        max(0, count_multiples(p, e, prog, w) - 1)
+                        for e in range(1, 6)
+                    )
+                    assert ratio_valuation_by_counting(p, prog, w) == excess
+
+
+def test_progression_keeps_equality_hash_and_pickling_with_cached_d():
+    p = Progression(4, 2)
+    fresh = Progression(4, 2)
+    assert p.d == 2  # cached on p only
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == "Progression(a=4, b=2)"
+    assert [f.name for f in dataclasses.fields(p)] == ["a", "b"]
+    assert dataclasses.asdict(p) == {"a": 4, "b": 2}
+    for obj in (p, fresh):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == p and hash(copy) == hash(p)
+        assert (copy.d, copy.a_reduced, copy.b_reduced) == (2, 2, 1)
+    assert dataclasses.replace(p, b=3).d == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = 6
+
+
+def test_window_functions_validate_every_call():
+    with pytest.raises(ValueError, match="not prime"):
+        ratio_valuation_by_counting(4, Progression(1, 0), Window(1, 5))
+    for count in (count_multiples, count_multiples_naive):
+        with pytest.raises(ValueError, match="not prime"):
+            count(9, 1, Progression(1, 0), Window(1, 5))
+        with pytest.raises(ValueError, match="exponent"):
+            count(3, 0, Progression(1, 0), Window(1, 5))
+        with pytest.raises(ValueError, match="reduced"):
+            count(3, 1, Progression(6, 3), Window(1, 5))

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, window_ratio, window_terms
 from aplcm.identities import (
     PeriodTable,
+    _adjusted_ratio,
     build_period_table,
     check_gcd_transfer,
     check_lcm_bounds,
@@ -67,6 +69,24 @@ def test_gcd_transfer_order_three():
     xs_b = window_terms(Progression(1, 0), Window(8, 3))
     report = check_gcd_transfer(xs_a, xs_b, 3)
     assert report.hypothesis_held and report.conclusion_held
+
+
+def stepwise_adjusted_ratio(xs, t):
+    """The adjusted ratio one Fraction step per subset gcd."""
+    inv = Fraction(math.prod(xs), math.lcm(*xs))
+    for r in range(2, t):
+        for comb in combinations(xs, r):
+            g = math.gcd(*comb)
+            inv = inv * g if r % 2 == 1 else inv / g
+    return inv
+
+
+def test_adjusted_ratio_matches_the_stepwise_product():
+    rng = random.Random(11)
+    for _ in range(400):
+        xs = [rng.randint(1, 300) for _ in range(rng.randint(2, 7))]
+        for t in range(2, len(xs) + 1):
+            assert _adjusted_ratio(xs, t) == stepwise_adjusted_ratio(xs, t)
 
 
 def test_gcd_transfer_validation():

@@ -5,6 +5,7 @@ import pytest
 
 from aplcm import numtheory
 from aplcm.numtheory import (
+    MILLER_RABIN_BOUND,
     FactoredInteger,
     _product_tree,
     factorize,
@@ -211,3 +212,29 @@ def test_factorize_roundtrip():
         factors = factorize(n)
         assert math.prod(p**e for p, e in factors.items()) == n
         assert all(is_prime(p) for p in factors)
+
+
+def test_lcm_upto_around_prime_squares():
+    for p in primes_upto(31):
+        for k in (p * p - 1, p * p, p * p + 1):
+            assert lcm_upto(k).value == math.lcm(*range(1, k + 1)), k
+
+
+def test_is_prime_above_the_sieve_matches_trial_division():
+    primes_upto(10**4)
+    start = max(numtheory._prime_cache_limit, 10**7) + 1
+    rng = random.Random(13)
+    samples = list(range(start, start + 2000))
+    samples += [rng.randrange(10**8, 10**9) for _ in range(300)]
+    for n in samples:
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to the bases 2..7 and 2..23 respectively.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    # Two 13-digit prime factors: trial division would need ~10^12 steps.
+    p, q = 999_999_999_989, 1_000_000_000_039
+    assert is_prime(p) and is_prime(q) and is_prime(2**61 - 1)
+    assert p * q < MILLER_RABIN_BOUND and not is_prime(p * q)

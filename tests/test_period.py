@@ -232,3 +232,34 @@ def test_double_exceptional_prime_is_impossible_up_to_2000():
 
 def test_selfcheck_error_is_distinct_from_value_error():
     assert not issubclass(SelfCheckError, ValueError)
+
+
+def test_smallest_period_around_prime_squares():
+    # Primes above isqrt(k) take exponent 1 without integer_log; k = p**2
+    # is where p itself needs the second power.
+    progs = [Progression(1, 0), Progression(2, 1), Progression(3, 1),
+             Progression(5, 2), Progression(6, 4)]
+    for p in (2, 3):
+        for k in (p * p - 1, p * p, p * p + 1):
+            for prog in progs:
+                assert smallest_period(prog, k).value == \
+                    smallest_period_bruteforce(prog, k)
+    for p in (5, 7):
+        for k in (p * p - 1, p * p, p * p + 1):
+            for prog in progs[:4]:
+                per_prime = math.lcm(*(
+                    valuation_period_bruteforce(q, prog, k)
+                    for q in primes_upto(k)
+                ))
+                assert smallest_period(prog, k).value == per_prime
+
+
+def test_oracles_validate_before_their_loops():
+    with pytest.raises(ValueError, match="k must be"):
+        smallest_period_bruteforce(Progression(1, 0), -1)
+    with pytest.raises(ValueError, match="k must be"):
+        valuation_period_bruteforce(2, Progression(1, 0), -1)
+    with pytest.raises(ValueError, match="reduced"):
+        valuation_period_bruteforce(2, Progression(6, 4), 5)
+    with pytest.raises(ValueError, match="not prime"):
+        valuation_period_bruteforce(4, Progression(1, 0), 5)
