@@ -10,6 +10,7 @@ survives any JSON parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import MILLER_RABIN_BOUND, integer_log, is_prime, lcm_upto
+from .numtheory import MILLER_RABIN_BOUND, integer_log, is_prime
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -63,6 +64,15 @@ def resolve_budget(explicit: int | None) -> int:
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def _require_budget(work: int, what: str) -> None:
+    """Refuse size-dependent work above the resolved budget before it starts."""
+    budget = resolve_budget(None)
+    if work > budget:
+        raise BudgetExceededError(
+            f"{what} needs work ~2^{work.bit_length()} > budget {budget}"
+        )
 
 
 def _jsonify(obj):
@@ -144,6 +154,7 @@ def _factored_str(value: int, factored) -> str:
 def cmd_period(args) -> int:
     started = perf_counter()
     prog = Progression(args.a, args.b)
+    _require_budget(args.k, "a prime sieve up to k")
     report = smallest_period(prog, args.k)
     oracle = None
     if args.verify:
@@ -157,7 +168,7 @@ def cmd_period(args) -> int:
             {
                 "period": report.value,
                 "factors": report.closed_form.factors,
-                "lcm_upto_k": lcm_upto(args.k).value,
+                "lcm_upto_k": report.lcm_upto,
                 "a_reduced": report.a_reduced,
                 "exceptional_factor": report.exceptional,
                 "exceptional_prime": report.exceptional_prime,
@@ -170,7 +181,7 @@ def cmd_period(args) -> int:
         )
     else:
         print(f"period = {_factored_str(report.value, report.closed_form)}")
-        print(f"lcm(1..k) = {lcm_upto(args.k).value}")
+        print(f"lcm(1..k) = {report.lcm_upto}")
         print(f"reduced difference = {report.a_reduced}")
         if report.exceptional_prime is None:
             print("exceptional factor = 1 (none)")
@@ -203,6 +214,7 @@ def cmd_g(args) -> int:
     started = perf_counter()
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
+    _require_budget((hi - lo + 1) * (args.k + 1), "the --n range")
     if args.p is not None:
         if args.p >= MILLER_RABIN_BOUND:
             raise ValueError(
@@ -348,13 +360,14 @@ def cmd_witness(args) -> int:
 def cmd_table(args) -> int:
     started = perf_counter()
     prog = Progression(args.a, args.b)
+    _require_budget(args.k_max, "a prime sieve up to k-max")
     rows = []
     for k in range(args.k_max + 1):
         report = smallest_period(prog, k)
         rows.append(
             {
                 "k": k,
-                "lcm_upto_k": lcm_upto(k).value,
+                "lcm_upto_k": report.lcm_upto,
                 "exceptional_factor": report.exceptional,
                 "period": report.value,
             }
@@ -440,7 +453,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="aplcm",
         description=(

@@ -25,6 +25,7 @@ from .gfun import (
     ratio_valuation_by_counting,
 )
 from .numtheory import (
+    MILLER_RABIN_BOUND,
     FactoredInteger,
     factorize,
     integer_log,
@@ -102,6 +103,17 @@ class PeriodReport:
     @property
     def value(self) -> int:
         return self.closed_form.value
+
+    @property
+    def lcm_upto(self) -> int:
+        """lcm(1..k), put back together from the closed form on access.
+
+        Every prime p <= k is kept, exceptional or removed, so the
+        period times the exceptional factor times the removed blocks is
+        exactly lcm(1..k).
+        """
+        removed = math.prod(q**e for q, e in self.removed_primes)
+        return self.value * self.exceptional * removed
 
     def with_oracle(self, oracle_value: int) -> "PeriodReport":
         if oracle_value != self.value:
@@ -242,7 +254,8 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     p**E <= k.
 
     Applies when the progression is reduced, p does not divide a,
-    p <= k, and the valuation of k + 1 at p is below E. Construction:
+    p <= k, p < MILLER_RABIN_BOUND (so that primality is decided in
+    bounded time), and the valuation of k + 1 at p is below E. Construction:
     with l = (k + 1) mod p**E, place a multiple of p**E at the window
     start when 1 <= l <= p**E - p**(E-1), otherwise at offset
     p**(E-1) - 1; either way the window starting p**(E-1) later holds
@@ -258,6 +271,11 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
         raise ValueError(f"{p} exceeds k={k}")
     if p >= 2 and prog.a % p == 0:
         raise ValueError(f"{p} divides the difference a={prog.a}")
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"p must be below {MILLER_RABIN_BOUND}, where primality is "
+            "decided in bounded time"
+        )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     max_exp = integer_log(p, k)

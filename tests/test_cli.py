@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from aplcm.cli import main
+import aplcm
+from aplcm.cli import build_parser, main
 from aplcm.gfun import Progression
-from aplcm.numtheory import MILLER_RABIN_BOUND
+from aplcm.numtheory import MILLER_RABIN_BOUND, lcm_upto
 from aplcm.period import smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
@@ -128,6 +133,29 @@ def test_g_usage_errors(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_g_range_is_under_the_work_budget(capsys, monkeypatch):
+    # 100 windows of 4 terms: work 400. This runs first, so that a missing
+    # bound fails here instead of listing 10^12 values below.
+    monkeypatch.setenv("APLCM_BUDGET", "399")
+    code, out, err = run(capsys, "g", "--k", "3", "--n", "1..100")
+    assert code == 2 and out == "" and "budget 399" in err
+    monkeypatch.setenv("APLCM_BUDGET", "400")
+    code, out, _ = run(capsys, "g", "--k", "3", "--n", "1..100")
+    assert code == 0 and len(out.split()) == 100
+    monkeypatch.delenv("APLCM_BUDGET")
+    code, out, err = run(capsys, "g", "--k", "3", "--n", "1..1000000000000")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_sieve_is_under_the_work_budget(capsys, monkeypatch):
+    monkeypatch.setenv("APLCM_BUDGET", "100")
+    for argv in (("period", "--k"), ("table", "--k-max")):
+        code, out, err = run(capsys, *argv, "101")
+        assert code == 2 and out == "" and "sieve" in err and "budget 100" in err
+        code, out, _ = run(capsys, *argv, "100")
+        assert code == 0 and out
+
+
 def test_g_valuation_prime_is_bounded(capsys):
     # A prime near 10^14 and 2**61 - 1: Miller-Rabin, no trial division.
     for p in (100000000000031, 2**61 - 1):
@@ -240,6 +268,17 @@ def test_witness_precondition_exit(capsys):
     assert code == 2 and "exceeds" in err
 
 
+def test_witness_p_at_the_primality_bound_exits_at_once(capsys, monkeypatch):
+    # Trial division would never finish here, so no primality test may run.
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(aplcm.period, "is_prime", no_primality_test)
+    code, _, err = run(capsys, "witness", "--k", str(10**26),
+                       "--p", str(MILLER_RABIN_BOUND))
+    assert code == 2 and "must be below" in err
+
+
 def test_table_tsv(capsys):
     code, out, _ = run(capsys, "table", "--k-max", "10")
     assert code == 0
@@ -274,6 +313,20 @@ def test_table_json_formats(capsys):
                                  "--format", "json")
     assert code == 0
     assert payload2["result"] == payload["result"]
+
+
+def test_lcm_upto_k_matches_lcm_upto(capsys):
+    for a, b in ((1, 0), (6, 1), (35, 12)):
+        code, payload, _ = run_json(capsys, "period", "--k", "60", "--a", str(a),
+                                    "--b", str(b), "--json")
+        assert code == 0
+        assert payload["result"]["lcm_upto_k"] == str(lcm_upto(60).value)
+        code, payload, _ = run_json(capsys, "table", "--k-max", "60", "--a", str(a),
+                                    "--b", str(b), "--json")
+        assert code == 0
+        rows = payload["result"]["rows"]
+        assert [row["lcm_upto_k"] for row in rows] == \
+            [str(lcm_upto(k).value) for k in range(61)]
 
 
 def test_table_output_is_deterministic(capsys):
@@ -345,3 +398,50 @@ def test_argparse_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+SHARED_PARSER_SEQUENCE = (
+    ("period",),  # argparse usage error: --k is required
+    ("period", "--k", "7", "--a", "6", "--b", "1", "--verify"),
+    ("g", "--k", "3", "--n", "1..6", "--json"),
+    ("lcm", "--k", "2", "--n", "10"),
+    ("witness", "--k", "5", "--p", "2"),
+    ("table", "--k-max", "6", "--json"),
+    ("verify", "consecutive-periods", "--json"),
+    ("--help",),
+    ("--help",),
+)
+
+
+def _without_timings(text):
+    return re.sub(r'"elapsed_(ms|s)": [0-9.e-]+', "T", text)
+
+
+def test_shared_parser_gives_the_output_of_fresh_parsers(capsys):
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in SHARED_PARSER_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
+    for (c1, out1, err1), (c2, out2, err2) in zip(shared, fresh):
+        assert (c1, _without_timings(out1), err1) == (c2, _without_timings(out2), err2)
+
+
+def test_module_entry_point_runs_in_a_fresh_process():
+    # The in-process tests share one parser; this is the per-process path.
+    src = str(Path(aplcm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    period, usage = (
+        subprocess.run([sys.executable, "-m", "aplcm", *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+        for argv in (("period", "--k", "7", "--json"), ("g", "--k", "3", "--n", "0"))
+    )
+    assert period.returncode == 0, period.stderr
+    payload = json.loads(period.stdout)
+    assert set(payload) == JSON_KEYS
+    assert payload["result"]["period"] == "105"
+    assert usage.returncode == 2 and "start index" in usage.stderr

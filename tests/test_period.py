@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from aplcm import period
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
 from aplcm.numtheory import (
+    MILLER_RABIN_BOUND,
     _product_tree,
     integer_log,
     lcm_upto,
@@ -89,6 +91,17 @@ def test_period_report_identities_hold_across_sweep():
         removed = _product_tree(q**e for q, e in report.removed_primes)
         assert report.value * report.exceptional * removed == lcm_upto(k).value
         assert _product_tree(report.per_prime.values()) == report.value
+
+
+def test_report_lcm_upto_matches_lcm_upto():
+    cases = [(k, a, b) for k in range(61) for a, b in ((1, 0), (6, 1), (35, 12))]
+    cases.append((10**4, 35, 12))
+    reports = [smallest_period(Progression(a, b), k) for k, a, b in cases]
+    for report in reports:
+        assert report.lcm_upto == lcm_upto(report.k).value
+    # The sweep meets both primes that drop out of the period.
+    assert any(r.removed_primes for r in reports)
+    assert any(r.exceptional_prime is not None for r in reports)
 
 
 def test_bruteforce_small_examples():
@@ -188,6 +201,22 @@ def test_nonperiod_witness_preconditions():
         nonperiod_witness(7, Progression(1, 0), 5)
     with pytest.raises(ValueError, match="maximal"):
         nonperiod_witness(2, Progression(1, 0), 3)
+
+
+def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
+    # Such a p would fall back to trial division; refused before any test.
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(period, "is_prime", no_primality_test)
+    with pytest.raises(ValueError, match="must be below"):
+        nonperiod_witness(MILLER_RABIN_BOUND, Progression(1, 0), 10**26)
+    # The O(1) preconditions still come first.
+    with pytest.raises(ValueError, match="exceeds"):
+        nonperiod_witness(MILLER_RABIN_BOUND, Progression(1, 0), 10)
+    with pytest.raises(ValueError, match="divides"):
+        nonperiod_witness(MILLER_RABIN_BOUND, Progression(MILLER_RABIN_BOUND, 1),
+                          10**26)
 
 
 def test_closed_form_equals_bruteforce_including_unreduced():
