@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -80,8 +79,6 @@ def _jsonify(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
@@ -507,10 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="period table for k = 0..k-max")
     p.add_argument("--k-max", dest="k_max", type=_nonneg, required=True)
-    p.add_argument("--a", type=_positive, default=1)
-    p.add_argument("--b", type=_nonneg, default=0)
+    add_common(p, with_k=False)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")

@@ -69,9 +69,6 @@ class Progression:
     def reduced(self) -> "Progression":
         return Progression(self.a_reduced, self.b_reduced)
 
-    def term(self, m: int) -> int:
-        return self.b + m * self.a
-
 
 @dataclass(frozen=True)
 class Window:

@@ -14,7 +14,7 @@ searches below are independent of that pass and serve as its oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SelfCheckError
 from .gfun import (
@@ -98,7 +98,6 @@ class PeriodReport:
     exceptional_prime: int | None
     removed_primes: list[tuple[int, int]]
     per_prime: dict[int, int]
-    oracle_value: int | None = None
 
     @property
     def value(self) -> int:
@@ -114,14 +113,6 @@ class PeriodReport:
         """
         removed = math.prod(q**e for q, e in self.removed_primes)
         return self.value * self.exceptional * removed
-
-    def with_oracle(self, oracle_value: int) -> "PeriodReport":
-        if oracle_value != self.value:
-            raise SelfCheckError(
-                f"search found period {oracle_value} but the closed form "
-                f"says {self.value} for k={self.k}, a={self.a}, b={self.b}"
-            )
-        return replace(self, oracle_value=oracle_value)
 
 
 def smallest_period(prog: Progression, k: int) -> PeriodReport:

@@ -4,9 +4,34 @@ full sweeps at their stated scale. Run with `pytest -s` to see one
 PASS/FAIL line per criterion.
 """
 
+import pytest
+
 from aplcm.gfun import Progression
 from aplcm.period import smallest_period
-from aplcm.verify import CONSECUTIVE_PERIODS, run_suite
+from aplcm.verify import CONSECUTIVE_PERIODS, available_suites, run_suite
+
+# The scale of every suite, in the order available_suites() lists them.
+CASES_RUN = {
+    "period-closed-form": 990,
+    "consecutive-periods": 11,
+    "valuation-consistency": 576,
+    "prime-period": 448,
+    "period-decomposition": 576,
+    "inclusion-exclusion": 10_000,
+    "fast-lcm": 1000,
+    "divisibility": 12_790,
+    "exceptional-prime": 10_001,
+    "odd-progression": 12,
+    "gcd-transfer": 144,
+    "scaling": 1634,
+    "window-counts": 96,
+    "periodicity": 504,
+    "integer-basics": 12_031,
+}
+
+
+def test_every_suite_has_a_pinned_scale():
+    assert list(CASES_RUN) == available_suites()
 
 
 def _run(name, time_cap=None):
@@ -21,16 +46,15 @@ def _run(name, time_cap=None):
         print(f"  {failure.inputs}: expected {failure.expected}, "
               f"got {failure.actual}")
     assert report.passed, f"{name}: {len(report.failures)} failures"
+    assert report.cases_run == CASES_RUN[name]
     if time_cap is not None:
         assert report.elapsed <= time_cap, (
             f"{name} took {report.elapsed:.1f}s, over the {time_cap}s cap"
         )
-    return report
 
 
 def test_closed_form_period_matches_exhaustive_search():
-    report = _run("period-closed-form", time_cap=300)
-    assert report.cases_run == 9 * 10 * 11
+    _run("period-closed-form", time_cap=300)
 
 
 def test_consecutive_integer_period_table():
@@ -52,15 +76,13 @@ def test_prime_periods_and_witnesses():
 
 
 def test_inclusion_exclusion_identity():
-    report = _run("inclusion-exclusion", time_cap=60)
-    assert report.cases_run == 10_000
+    _run("inclusion-exclusion", time_cap=60)
 
 
 def test_fast_lcm_equals_direct_lcm():
     # 1000 seeded cases with n up to 10**9; every 20th case (50 total)
     # forces n to a multiple of the period so the residue-0 slot is hit.
-    report = _run("fast-lcm")
-    assert report.cases_run == 1000
+    _run("fast-lcm")
 
 
 def test_divisibility_suites():
@@ -68,11 +90,19 @@ def test_divisibility_suites():
 
 
 def test_exceptional_prime_is_unique():
-    report = _run("exceptional-prime", time_cap=60)
-    assert report.cases_run == 10_001
+    _run("exceptional-prime", time_cap=60)
 
 
 def test_odd_progression_periods():
     for k, expected in ((2, 1), (3, 3), (5, 5)):
         assert smallest_period(Progression(2, 1), k).value == expected
     _run("odd-progression")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["period-decomposition", "gcd-transfer", "scaling", "window-counts",
+     "periodicity", "integer-basics"],
+)
+def test_remaining_suites_pass(name):
+    _run(name)

@@ -76,10 +76,6 @@ def test_period_report_structure():
     # per-prime entries multiply to the period and cover all primes <= k
     assert list(report.per_prime) == primes_upto(5)
     assert math.prod(report.per_prime.values()) == report.value
-    assert report.oracle_value is None
-    assert report.with_oracle(5).oracle_value == 5
-    with pytest.raises(SelfCheckError):
-        report.with_oracle(7)
 
 
 def test_period_report_identities_hold_across_sweep():
