@@ -11,6 +11,7 @@ import pytest
 
 import aplcm
 from aplcm.cli import build_parser, main
+from aplcm.errors import SelfCheckError
 from aplcm.gfun import Progression
 from aplcm.numtheory import MILLER_RABIN_BOUND, lcm_upto
 from aplcm.period import smallest_period
@@ -61,6 +62,19 @@ def test_period_verify_agrees(capsys):
     assert code == 0
     assert "period = 5" in out
     assert "oracle = 5 (agrees)" in out
+
+
+def test_period_verify_reports_a_disagreeing_search(capsys, monkeypatch):
+    monkeypatch.setattr("aplcm.cli.smallest_period_bruteforce", lambda *a: 7)
+    argv = ("period", "--k", "5", "--a", "2", "--b", "1", "--verify")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "oracle = 7 (DISAGREES)" in out
+    assert err == "period mismatch: closed form 5, search 7\n"
+    code, payload, err = run_json(capsys, *argv, "--json")
+    assert code == 1 and "period mismatch" in err
+    assert payload["result"]["oracle"] == "7"
+    assert payload["result"]["oracle_agrees"] is False
 
 
 def test_period_defaults_to_consecutive_integers(capsys):
@@ -355,6 +369,37 @@ def test_verify_json_single_object(capsys):
     assert report["passed"] is True
     assert report["cases_run"] == "10001"  # every integer is a decimal string
     assert report["failures"] == []
+
+
+def test_verify_reports_a_failing_suite(capsys, monkeypatch):
+    def no_exceptional_factor(k, a):
+        raise SelfCheckError(f"injected fault at k={k}")
+
+    monkeypatch.setattr("aplcm.verify.exceptional_factor", no_exceptional_factor)
+    code, out, err = run(capsys, "verify", "exceptional-prime")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL exceptional-prime")
+    assert lines[0].endswith("   10001 failures")
+    assert lines[1] == "     k=0: expected at most one prime, got injected fault at k=0"
+    assert len(lines) == 1 + 20 + 1
+    assert lines[-1] == "     ... and 9981 more"
+
+    code, payload, err = run_json(capsys, "verify", "exceptional-prime", "--json")
+    assert code == 1 and err == ""
+    (report,) = payload["result"]
+    assert report["passed"] is False and len(report["failures"]) == 10001
+
+
+def test_verify_budget_is_resolved_and_checked(capsys, monkeypatch):
+    code, payload, _ = run_json(capsys, "verify", "exceptional-prime",
+                                "--budget", "123", "--json")
+    assert code == 0 and payload["inputs"]["budget"] == "123"
+    code, out, err = run(capsys, "verify", "exceptional-prime", "--budget", "0")
+    assert code == 2 and out == "" and "must be positive" in err
+    monkeypatch.setenv("APLCM_BUDGET", "0")
+    code, out, err = run(capsys, "verify", "exceptional-prime")
+    assert code == 2 and out == "" and "must be positive" in err
 
 
 def test_verify_jobs_do_not_change_json(capsys):
