@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage
 error. Every subcommand accepts --json and then emits exactly one JSON
-object with keys {command, inputs, result, elapsed_ms}; integer values
-inside inputs/result are decimal strings so arbitrary precision
-survives any JSON parser.
+object with keys {command, inputs, result, elapsed_ms}; inputs are the
+parsed arguments, and integer values inside inputs/result are decimal
+strings so arbitrary precision survives any JSON parser.
+
+Each cmd_* returns (result, lines, mismatch): the JSON result, the text
+output as an iterable of lines, consumed only without --json, and None
+or the message of a mismatch, which exits 1. _run does the rest.
 """
 
 from __future__ import annotations
@@ -87,19 +91,6 @@ def _jsonify(obj):
     return obj
 
 
-def _emit_json(command: str, inputs: dict, result, started: float) -> None:
-    print(
-        json.dumps(
-            {
-                "command": command,
-                "inputs": _jsonify(inputs),
-                "result": _jsonify(result),
-                "elapsed_ms": round((perf_counter() - started) * 1000, 3),
-            }
-        )
-    )
-
-
 def _parse_index_range(text: str) -> tuple[int, int]:
     """Either a single index "4" or an inclusive range "1..6"."""
     lo, sep, hi = text.partition("..")
@@ -148,8 +139,31 @@ def _factored_str(value: int, factored) -> str:
     return str(value) if rendered == "1" else f"{value} = {rendered}"
 
 
-def cmd_period(args) -> int:
-    started = perf_counter()
+def _period_lines(report, result):
+    yield f"period = {_factored_str(report.value, report.closed_form)}"
+    yield f"lcm(1..k) = {result['lcm_upto_k']}"
+    yield f"reduced difference = {report.a_reduced}"
+    if report.exceptional_prime is None:
+        yield "exceptional factor = 1 (none)"
+    else:
+        yield (
+            f"exceptional factor = {report.exceptional} "
+            f"(prime {report.exceptional_prime})"
+        )
+    if report.removed_primes:
+        removed = ", ".join(f"{q}^{e}" for q, e in report.removed_primes)
+    else:
+        removed = "none"
+    yield f"removed prime powers: {removed}"
+    if report.per_prime:
+        per = ", ".join(f"{p}: {t}" for p, t in report.per_prime.items())
+        yield f"per-prime periods: {per}"
+    if result["oracle"] is not None:
+        agrees = "agrees" if result["oracle_agrees"] else "DISAGREES"
+        yield f"oracle = {result['oracle']} ({agrees})"
+
+
+def cmd_period(args):
     prog = Progression(args.a, args.b)
     _require_budget(args.k, "a prime sieve up to k")
     report = smallest_period(prog, args.k)
@@ -157,58 +171,25 @@ def cmd_period(args) -> int:
     if args.verify:
         oracle = smallest_period_bruteforce(prog, args.k, resolve_budget(None))
     agrees = None if oracle is None else oracle == report.value
-
-    if args.json:
-        _emit_json(
-            "period",
-            {"k": args.k, "a": args.a, "b": args.b, "verify": args.verify},
-            {
-                "period": report.value,
-                "factors": report.closed_form.factors,
-                "lcm_upto_k": report.lcm_upto,
-                "a_reduced": report.a_reduced,
-                "exceptional_factor": report.exceptional,
-                "exceptional_prime": report.exceptional_prime,
-                "removed_primes": report.removed_primes,
-                "per_prime_periods": report.per_prime,
-                "oracle": oracle,
-                "oracle_agrees": agrees,
-            },
-            started,
-        )
-    else:
-        print(f"period = {_factored_str(report.value, report.closed_form)}")
-        print(f"lcm(1..k) = {report.lcm_upto}")
-        print(f"reduced difference = {report.a_reduced}")
-        if report.exceptional_prime is None:
-            print("exceptional factor = 1 (none)")
-        else:
-            print(
-                f"exceptional factor = {report.exceptional} "
-                f"(prime {report.exceptional_prime})"
-            )
-        if report.removed_primes:
-            removed = ", ".join(f"{q}^{e}" for q, e in report.removed_primes)
-        else:
-            removed = "none"
-        print(f"removed prime powers: {removed}")
-        if report.per_prime:
-            per = ", ".join(f"{p}: {t}" for p, t in report.per_prime.items())
-            print(f"per-prime periods: {per}")
-        if oracle is not None:
-            print(f"oracle = {oracle} ({'agrees' if agrees else 'DISAGREES'})")
-
+    result = {
+        "period": report.value,
+        "factors": report.closed_form.factors,
+        "lcm_upto_k": report.lcm_upto,
+        "a_reduced": report.a_reduced,
+        "exceptional_factor": report.exceptional,
+        "exceptional_prime": report.exceptional_prime,
+        "removed_primes": report.removed_primes,
+        "per_prime_periods": report.per_prime,
+        "oracle": oracle,
+        "oracle_agrees": agrees,
+    }
+    mismatch = None
     if agrees is False:
-        print(
-            f"period mismatch: closed form {report.value}, search {oracle}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
-    return EXIT_OK
+        mismatch = f"period mismatch: closed form {report.value}, search {oracle}"
+    return result, _period_lines(report, result), mismatch
 
 
-def cmd_g(args) -> int:
-    started = perf_counter()
+def cmd_g(args):
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
     _require_budget((hi - lo + 1) * (args.k + 1), "the --n range")
@@ -228,18 +209,7 @@ def cmd_g(args) -> int:
         ]
     else:
         values = [window_ratio(prog, Window(n, args.k)) for n in range(lo, hi + 1)]
-
-    if args.json:
-        _emit_json(
-            "g",
-            {"k": args.k, "a": args.a, "b": args.b, "n": args.n, "p": args.p},
-            values,
-            started,
-        )
-    else:
-        for v in values:
-            print(v)
-    return EXIT_OK
+    return values, values, None
 
 
 def _acquire_table(prog, k, path, budget):
@@ -257,105 +227,76 @@ def _acquire_table(prog, k, path, budget):
     return table
 
 
-def _certify_lcm(terms, value: int) -> None:
-    """Raise SelfCheckError unless value is lcm(terms).
-
-    value is a common multiple iff every term divides it, and the least
-    one iff the cofactors value // t then have gcd 1.
-    """
-    cofactors = [value // t for t in terms]
-    if any(value % t for t in terms) or math.gcd(*cofactors) != 1:
-        raise SelfCheckError(
-            f"period-table value {value} is not the lcm of the window "
-            f"terms {terms[0]}..{terms[-1]}"
-        )
-
-
-def cmd_lcm(args) -> int:
-    started = perf_counter()
+def cmd_lcm(args):
     prog = Progression(args.a, args.b)
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
-    method = args.method or "both"
-    if args.table is not None and method == "direct":
+    if args.table is not None and args.method == "direct":
         raise ValueError("--table is only meaningful with the period method")
+    # math.lcm over k + 1 terms of w 64-bit words takes about (k + 1)^2 w^2
+    # word operations; refuse that before the terms are built.
+    w = 1 + (args.b + (args.n + args.k) * args.a).bit_length() // 64
+    _require_budget((args.k + 1) ** 2 * w**2, "the lcm of k+1 window terms")
 
     terms = window_terms(prog, Window(args.n, args.k))
     direct = period_val = None
-    if method in ("direct", "both"):
+    if args.method in ("direct", "both"):
         direct = math.lcm(*terms)
-    if method in ("period", "both"):
+    if args.method in ("period", "both"):
         table = _acquire_table(prog, args.k, args.table, resolve_budget(None))
         period_val = fast_lcm(table, args.n)
-        if direct is None:
-            # Without the direct lcm to compare against, a table file could
-            # otherwise yield a wrong answer unnoticed.
-            _certify_lcm(terms, period_val)
+        # Without the direct lcm to compare against, a table file could
+        # otherwise yield a wrong answer unnoticed.
+        if direct is None and math.lcm(*terms) != period_val:
+            raise SelfCheckError(
+                f"period-table value {period_val} is not the lcm of the window "
+                f"terms {terms[0]}..{terms[-1]}"
+            )
 
     mismatch = direct is not None and period_val is not None and direct != period_val
     value = direct if direct is not None else period_val
-
-    if args.json:
-        _emit_json(
-            "lcm",
-            {
-                "k": args.k,
-                "a": args.a,
-                "b": args.b,
-                "n": args.n,
-                "method": method,
-                "table": args.table,
-            },
-            {
-                "lcm": value if not mismatch else None,
-                "direct": direct,
-                "period": period_val,
-                "agree": None if method != "both" else not mismatch,
-            },
-            started,
-        )
-    elif not mismatch:
-        print(value)
-
+    result = {
+        "lcm": value if not mismatch else None,
+        "direct": direct,
+        "period": period_val,
+        "agree": None if args.method != "both" else not mismatch,
+    }
     if mismatch:
-        print(
+        return result, (), (
             f"lcm mismatch at n={args.n}: direct {direct}, "
-            f"period-table {period_val}",
-            file=sys.stderr,
+            f"period-table {period_val}"
         )
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return result, (value,), None
 
 
-def cmd_witness(args) -> int:
-    started = perf_counter()
+def cmd_witness(args):
     prog = Progression(args.a, args.b)
     n0 = nonperiod_witness(args.p, prog, args.k)
     half = args.p ** (integer_log(args.p, args.k) - 1)
     before = ratio_valuation_by_counting(args.p, prog, Window(n0, args.k))
     after = ratio_valuation_by_counting(args.p, prog, Window(n0 + half, args.k))
+    result = {
+        "n0": n0,
+        "shift": half,
+        "valuation_at_n0": before,
+        "valuation_at_shifted": after,
+    }
+    lines = (
+        f"n0 = {n0}",
+        f"valuation at {n0} = {before}",
+        f"valuation at {n0 + half} = {after}",
+    )
+    return result, lines, None
 
-    if args.json:
-        _emit_json(
-            "witness",
-            {"k": args.k, "a": args.a, "b": args.b, "p": args.p},
-            {
-                "n0": n0,
-                "shift": half,
-                "valuation_at_n0": before,
-                "valuation_at_shifted": after,
-            },
-            started,
+
+def _table_lines(rows):
+    yield "k\tlcm_upto_k\texceptional_factor\tperiod"
+    for row in rows:
+        yield (
+            f"{row['k']}\t{row['lcm_upto_k']}"
+            f"\t{row['exceptional_factor']}\t{row['period']}"
         )
-    else:
-        print(f"n0 = {n0}")
-        print(f"valuation at {n0} = {before}")
-        print(f"valuation at {n0 + half} = {after}")
-    return EXIT_OK
 
 
-def cmd_table(args) -> int:
-    started = perf_counter()
+def cmd_table(args):
     prog = Progression(args.a, args.b)
     _require_budget(args.k_max, "a prime sieve up to k-max")
     rows = []
@@ -369,85 +310,58 @@ def cmd_table(args) -> int:
                 "period": report.value,
             }
         )
+    return {"rows": rows}, _table_lines(rows), None
 
-    if args.json or args.format == "json":
-        _emit_json(
-            "table",
-            {"k_max": args.k_max, "a": args.a, "b": args.b},
-            {"rows": rows},
-            started,
+
+def _report_lines(reports):
+    for report in reports:
+        status = "ok  " if report.passed else "FAIL"
+        tail = "" if report.passed else f"   {len(report.failures)} failures"
+        yield (
+            f"{status} {report.suite:<24} {report.cases_run:>8} cases"
+            f"   {report.elapsed:.2f}s{tail}"
         )
-    else:
-        print("k\tlcm_upto_k\texceptional_factor\tperiod")
-        for row in rows:
-            print(
-                f"{row['k']}\t{row['lcm_upto_k']}"
-                f"\t{row['exceptional_factor']}\t{row['period']}"
-            )
-    return EXIT_OK
+        for failure in report.failures[:MAX_FAILURES_SHOWN]:
+            rendered = " ".join(f"{k}={v}" for k, v in failure.inputs.items())
+            yield f"     {rendered}: expected {failure.expected}, got {failure.actual}"
+        hidden = len(report.failures) - MAX_FAILURES_SHOWN
+        if hidden > 0:
+            yield f"     ... and {hidden} more"
 
 
-def _print_report(report) -> None:
-    status = "ok  " if report.passed else "FAIL"
-    tail = "" if report.passed else f"   {len(report.failures)} failures"
-    print(
-        f"{status} {report.suite:<24} {report.cases_run:>8} cases"
-        f"   {report.elapsed:.2f}s{tail}"
-    )
-    for failure in report.failures[:MAX_FAILURES_SHOWN]:
-        rendered = " ".join(f"{k}={v}" for k, v in failure.inputs.items())
-        print(f"     {rendered}: expected {failure.expected}, got {failure.actual}")
-    hidden = len(report.failures) - MAX_FAILURES_SHOWN
-    if hidden > 0:
-        print(f"     ... and {hidden} more")
-
-
-def cmd_verify(args) -> int:
-    started = perf_counter()
+def cmd_verify(args):
     names = available_suites() if args.suite == "all" else [args.suite]
     unknown = [n for n in names if n not in available_suites()]
     if unknown:
-        print(
-            f"error: unknown suite {unknown[0]!r}; available: "
-            f"{', '.join(available_suites())} (or 'all')",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown suite {unknown[0]!r}; available: "
+            f"{', '.join(available_suites())} (or 'all')"
         )
-        return EXIT_USAGE
-    budget = resolve_budget(args.budget)
-    reports = [run_suite(name, budget, args.jobs) for name in names]
-
-    if args.json:
-        _emit_json(
-            "verify",
-            {
-                "suite": args.suite,
-                "budget": budget,
-                "jobs": args.jobs,
-            },
-            [
+    # Resolved here, not as the parser default: the parser outlives a call,
+    # and APLCM_BUDGET may change between calls. inputs echo this value.
+    args.budget = resolve_budget(args.budget)
+    reports = [run_suite(name, args.budget, args.jobs) for name in names]
+    result = [
+        {
+            "suite": r.suite,
+            "cases_run": r.cases_run,
+            "failures": [
                 {
-                    "suite": r.suite,
-                    "cases_run": r.cases_run,
-                    "failures": [
-                        {
-                            "inputs": f.inputs,
-                            "expected": f.expected,
-                            "actual": f.actual,
-                        }
-                        for f in r.failures
-                    ],
-                    "elapsed_s": round(r.elapsed, 3),
-                    "passed": r.passed,
+                    "inputs": f.inputs,
+                    "expected": f.expected,
+                    "actual": f.actual,
                 }
-                for r in reports
+                for f in r.failures
             ],
-            started,
-        )
-    else:
-        for report in reports:
-            _print_report(report)
-
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
+            "elapsed_s": round(r.elapsed, 3),
+            "passed": r.passed,
+        }
+        for r in reports
+    ]
+    # The FAIL lines and "passed": false already name the failing suites,
+    # so this mismatch adds no message.
+    mismatch = None if all(r.passed for r in reports) else ""
+    return result, _report_lines(reports), mismatch
 
 
 @functools.cache
@@ -490,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcm", help="lcm of one window")
     add_common(p)
     p.add_argument("--n", type=_positive, required=True, help="start index")
-    p.add_argument("--method", choices=("direct", "period"), default=None,
+    p.add_argument("--method", choices=("direct", "period"), default="both",
                    help="evaluation method (default: run both and compare)")
     p.add_argument("--table", default=None,
                    help="period-table file to load, or create if missing")
@@ -505,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="period table for k = 0..k-max")
     p.add_argument("--k-max", dest="k_max", type=_nonneg, required=True)
     add_common(p, with_k=False)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -540,14 +453,38 @@ def _run(parser, argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    started = perf_counter()
     try:
-        return args.func(args)
+        result, lines, mismatch = args.func(args)
+        if args.json:
+            inputs = {
+                key: value for key, value in vars(args).items()
+                if key not in ("command", "json", "func")
+            }
+            print(
+                json.dumps(
+                    {
+                        "command": args.command,
+                        "inputs": _jsonify(inputs),
+                        "result": _jsonify(result),
+                        "elapsed_ms": round((perf_counter() - started) * 1000, 3),
+                    }
+                )
+            )
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SelfCheckError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    if mismatch is None:
+        return EXIT_OK
+    if mismatch:
+        print(mismatch, file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def entry() -> None:

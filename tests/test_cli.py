@@ -323,10 +323,9 @@ def test_table_json_formats(capsys):
     assert payload["result"]["rows"][2] == {
         "k": "2", "lcm_upto_k": "2", "exceptional_factor": "1", "period": "2"
     }
-    code, payload2, _ = run_json(capsys, "table", "--k-max", "2",
-                                 "--format", "json")
-    assert code == 0
-    assert payload2["result"] == payload["result"]
+    # --json is the only switch; the former --format option is gone.
+    code, out, _ = run(capsys, "table", "--k-max", "2", "--format", "json")
+    assert code == 2 and out == ""
 
 
 def test_lcm_upto_k_matches_lcm_upto(capsys):
@@ -430,6 +429,42 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run(capsys, "lcm", "--k", "2", "--n", "5",
                        "--method", "period")
     assert code == 2 and "APLCM_BUDGET" in err
+
+
+INPUT_KEYS = (
+    (("period", "--k", "3"), ["k", "a", "b", "verify"]),
+    (("g", "--k", "3", "--n", "1..2"), ["k", "a", "b", "n", "p"]),
+    (("lcm", "--k", "2", "--n", "10"), ["k", "a", "b", "n", "method", "table"]),
+    (("witness", "--k", "5", "--p", "2"), ["k", "a", "b", "p"]),
+    (("table", "--k-max", "2"), ["k_max", "a", "b"]),
+    (("verify", "exceptional-prime"), ["suite", "budget", "jobs"]),
+)
+
+
+def test_json_inputs_are_the_parsed_arguments(capsys):
+    # inputs come from the parser, so a new option would show up here.
+    for argv, keys in INPUT_KEYS:
+        code, payload, _ = run_json(capsys, *argv, "--json")
+        assert code == 0 and payload["command"] == argv[0]
+        assert list(payload["inputs"]) == keys
+    assert payload["inputs"]["budget"] == "10000000"
+
+
+def test_lcm_window_is_under_the_work_budget(capsys, monkeypatch):
+    # Work (k + 1)^2 * w^2, w = 1 + bits(b + (n + k) a) // 64: 3^2 * 1 = 9.
+    # This runs first, so that a missing bound fails here instead of
+    # building 10^9 terms below.
+    argv = ("lcm", "--k", "2", "--n", "1", "--method", "direct")
+    monkeypatch.setenv("APLCM_BUDGET", "8")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "budget 8" in err
+    monkeypatch.setenv("APLCM_BUDGET", "9")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "6\n"
+    monkeypatch.delenv("APLCM_BUDGET")
+    code, out, err = run(capsys, "lcm", "--k", "1000000000", "--n", "1",
+                         "--method", "direct")
+    assert code == 2 and out == "" and "window terms" in err and "budget" in err
 
 
 def test_argparse_usage_errors(capsys):
