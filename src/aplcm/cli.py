@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .errors import BudgetExceededError, SelfCheckError
+from .errors import BudgetExceededError, SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
@@ -36,7 +36,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import MILLER_RABIN_BOUND, integer_log, is_prime
+from .numtheory import integer_log
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -67,15 +67,6 @@ def resolve_budget(explicit: int | None) -> int:
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
-
-
-def _require_budget(work: int, what: str) -> None:
-    """Refuse size-dependent work above the resolved budget before it starts."""
-    budget = resolve_budget(None)
-    if work > budget:
-        raise BudgetExceededError(
-            f"{what} needs work ~2^{work.bit_length()} > budget {budget}"
-        )
 
 
 def _jsonify(obj):
@@ -165,11 +156,12 @@ def _period_lines(report, result):
 
 def cmd_period(args):
     prog = Progression(args.a, args.b)
-    _require_budget(args.k, "a prime sieve up to k")
+    budget = resolve_budget(None)
+    require_budget(args.k, budget, "a prime sieve up to k")
     report = smallest_period(prog, args.k)
     oracle = None
     if args.verify:
-        oracle = smallest_period_bruteforce(prog, args.k, resolve_budget(None))
+        oracle = smallest_period_bruteforce(prog, args.k, budget)
     agrees = None if oracle is None else oracle == report.value
     result = {
         "period": report.value,
@@ -192,17 +184,9 @@ def cmd_period(args):
 def cmd_g(args):
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
-    _require_budget((hi - lo + 1) * (args.k + 1), "the --n range")
+    work = (hi - lo + 1) * (args.k + 1)
+    require_budget(work, resolve_budget(None), "the --n range")
     if args.p is not None:
-        if args.p >= MILLER_RABIN_BOUND:
-            raise ValueError(
-                f"--p must be below {MILLER_RABIN_BOUND}, where primality "
-                "is decided in bounded time"
-            )
-        if not is_prime(args.p):
-            raise ValueError(f"--p expects a prime, got {args.p}")
-        if not prog.is_reduced:
-            raise ValueError("--p requires gcd(a, b) = 1")
         values = [
             ratio_valuation_by_counting(args.p, prog, Window(n, args.k))
             for n in range(lo, hi + 1)
@@ -234,18 +218,20 @@ def cmd_lcm(args):
     # math.lcm over k + 1 terms of w 64-bit words takes about (k + 1)^2 w^2
     # word operations; refuse that before the terms are built.
     w = 1 + (args.b + (args.n + args.k) * args.a).bit_length() // 64
-    _require_budget((args.k + 1) ** 2 * w**2, "the lcm of k+1 window terms")
+    budget = resolve_budget(None)
+    require_budget((args.k + 1) ** 2 * w**2, budget, "the lcm of k+1 window terms")
 
     terms = window_terms(prog, Window(args.n, args.k))
-    direct = period_val = None
-    if args.method in ("direct", "both"):
-        direct = math.lcm(*terms)
-    if args.method in ("period", "both"):
-        table = _acquire_table(prog, args.k, args.table, resolve_budget(None))
+    # The answer of the direct method, and the certificate of the period one.
+    lcm = math.lcm(*terms)
+    direct = None if args.method == "period" else lcm
+    period_val = None
+    if args.method != "direct":
+        table = _acquire_table(prog, args.k, args.table, budget)
         period_val = fast_lcm(table, args.n)
         # Without the direct lcm to compare against, a table file could
         # otherwise yield a wrong answer unnoticed.
-        if direct is None and math.lcm(*terms) != period_val:
+        if direct is None and lcm != period_val:
             raise SelfCheckError(
                 f"period-table value {period_val} is not the lcm of the window "
                 f"terms {terms[0]}..{terms[-1]}"
@@ -298,7 +284,9 @@ def _table_lines(rows):
 
 def cmd_table(args):
     prog = Progression(args.a, args.b)
-    _require_budget(args.k_max, "a prime sieve up to k-max")
+    # One closed form, so one prime sieve up to k, for each k = 0..k-max.
+    work = args.k_max * (args.k_max + 1) // 2
+    require_budget(work, resolve_budget(None), "one prime sieve per k up to k-max")
     rows = []
     for k in range(args.k_max + 1):
         report = smallest_period(prog, k)

@@ -16,3 +16,11 @@ class SelfCheckError(Exception):
     (exact divisions, uniqueness of the exceptional prime, witness
     inequalities). Seeing this exception means a bug, not bad input.
     """
+
+
+def require_budget(work: int, budget: int, what: str) -> None:
+    """Refuse size-dependent work above the budget, naming it as ~2^bits."""
+    if work > budget:
+        raise BudgetExceededError(
+            f"{what} needs work ~2^{work.bit_length()} > budget {budget}"
+        )

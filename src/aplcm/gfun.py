@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numtheory import is_prime
+from .numtheory import require_prime
 
 __all__ = [
     "Progression",
@@ -114,10 +114,11 @@ def window_ratio(prog: Progression, w: Window) -> int:
 
 
 def _require_reduced(prog: Progression) -> None:
+    """The one check that a progression is reduced, for every caller."""
     if prog.d != 1:
         raise ValueError(
-            f"progression ({prog.a}, {prog.b}) has gcd {prog.d} > 1; "
-            "pass the reduced progression"
+            f"progression ({prog.a}, {prog.b}) is not reduced: it has gcd "
+            f"{prog.d}, and gcd(a, b) = 1 is required"
         )
 
 
@@ -146,8 +147,7 @@ def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
 
 def _check_count_args(p: int, e: int, prog: Progression) -> None:
     _require_reduced(prog)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if e < 1:
         raise ValueError(f"exponent e must be >= 1, got {e}")
 
@@ -188,6 +188,5 @@ def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:
     divisible by p**e once p**e > k.
     """
     _require_reduced(prog)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return _counted_valuation(p, prog.a, prog.b, w.n, w.k)

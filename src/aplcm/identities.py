@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from .errors import BudgetExceededError, SelfCheckError
+from .errors import BudgetExceededError, SelfCheckError, require_budget
 from .gfun import Progression, Window, _ratio, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
@@ -240,11 +240,8 @@ def build_period_table(
     prog: Progression, k: int, budget: int = DEFAULT_BUDGET
 ) -> PeriodTable:
     period = smallest_period(prog, k).value
-    if period * (k + 1) > budget:
-        raise BudgetExceededError(
-            f"period has {period.bit_length()} bits; with k={k} the table "
-            f"exceeds the budget {budget}"
-        )
+    what = f"the table of a period of {period.bit_length()} bits for k={k}"
+    require_budget(period * (k + 1), budget, what)
     a, b = prog.a, prog.b
     # n = period stands in for residue 0 (n = 0 would give a zero term).
     values = [_ratio(a, b, n, k) for n in (period, *range(1, period))]

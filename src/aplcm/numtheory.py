@@ -21,6 +21,7 @@ __all__ = [
     "lcm_many",
     "lcm_upto",
     "primes_upto",
+    "require_prime",
     "valuation",
 ]
 
@@ -85,6 +86,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Refuse p unless it is a prime below MILLER_RABIN_BOUND.
+
+    The bound is checked first: above it is_prime falls back to trial
+    division, which would not finish for a large p.
+    """
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"p must be below {MILLER_RABIN_BOUND}, where primality is "
+            "decided in bounded time"
+        )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 # Growing shared sieve: the primes and their flags (flags[n] == 1 iff n is
 # prime). Both immutable objects are swapped in before the limit, so
 # concurrent readers that see a limit also see primes and flags covering it.
@@ -135,10 +151,10 @@ def _product_tree(xs) -> int:
 def valuation(p: int, x: int) -> int:
     """Largest s such that p**s divides x.
 
-    Requires p prime and x >= 1 (the valuation of 0 would be infinite).
+    Requires p prime (see require_prime) and x >= 1 (the valuation of 0
+    would be infinite).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if x < 1:
         raise ValueError(f"valuation requires x >= 1, got {x}")
     s = 0

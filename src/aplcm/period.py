@@ -16,22 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, SelfCheckError
+from .errors import SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
     _counted_valuation,
     _ratio,
+    _require_reduced,
     ratio_valuation_by_counting,
 )
 from .numtheory import (
-    MILLER_RABIN_BOUND,
     FactoredInteger,
     factorize,
     integer_log,
-    is_prime,
     lcm_upto,
     primes_upto,
+    require_prime,
     valuation,
 )
 
@@ -182,12 +182,9 @@ def smallest_period_bruteforce(
     lf = lcm_upto(k)
     big_l = lf.value
     divisor_count = math.prod(e + 1 for e in lf.factors.values())
-    work = big_l * (k + 1) * divisor_count
-    if work > budget:
-        raise BudgetExceededError(
-            f"full-period search for k={k} needs work ~2^{work.bit_length()} "
-            f"> budget {budget}"
-        )
+    require_budget(
+        big_l * (k + 1) * divisor_count, budget, f"full-period search for k={k}"
+    )
     divisors = lf.divisors()
     a, b = prog.a, prog.b
     ratios = [_ratio(a, b, n, k) for n in range(1, 2 * big_l + 1)]
@@ -213,20 +210,17 @@ def valuation_period_bruteforce(
     function whose period is a prime power is a divisor, i.e. a smaller
     power of the same prime.
     """
-    if not prog.is_reduced:
-        raise ValueError("valuation periods are defined for reduced progressions")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_reduced(prog)
+    require_prime(p)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     max_exp = integer_log(p, k) if k >= 1 else 0
     span = p**max_exp
-    work = span * (k + 1) * (max_exp + 1)
-    if work > budget:
-        raise BudgetExceededError(
-            f"valuation-period search for p={p}, k={k} needs work ~{work} "
-            f"> budget {budget}"
-        )
+    require_budget(
+        span * (k + 1) * (max_exp + 1),
+        budget,
+        f"valuation-period search for p={p}, k={k}",
+    )
     a, b = prog.a, prog.b
     vals = [_counted_valuation(p, a, b, n, k) for n in range(1, 2 * span + 1)]
     for e in range(max_exp + 1):
@@ -245,16 +239,15 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     p**E <= k.
 
     Applies when the progression is reduced, p does not divide a,
-    p <= k, p < MILLER_RABIN_BOUND (so that primality is decided in
-    bounded time), and the valuation of k + 1 at p is below E. Construction:
+    p <= k, require_prime(p) holds (a prime below the primality bound),
+    and the valuation of k + 1 at p is below E. Construction:
     with l = (k + 1) mod p**E, place a multiple of p**E at the window
     start when 1 <= l <= p**E - p**(E-1), otherwise at offset
     p**(E-1) - 1; either way the window starting p**(E-1) later holds
     one fewer multiple of p**E, so the valuations differ. The returned
     witness is re-verified by scan, never trusted.
     """
-    if not prog.is_reduced:
-        raise ValueError("witness construction requires a reduced progression")
+    _require_reduced(prog)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     # The O(1) checks come before primality, whose cost grows with p.
@@ -262,13 +255,7 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
         raise ValueError(f"{p} exceeds k={k}")
     if p >= 2 and prog.a % p == 0:
         raise ValueError(f"{p} divides the difference a={prog.a}")
-    if p >= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"p must be below {MILLER_RABIN_BOUND}, where primality is "
-            "decided in bounded time"
-        )
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     max_exp = integer_log(p, k)
     if valuation(p, k + 1) >= max_exp:
         raise ValueError(

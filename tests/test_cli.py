@@ -163,11 +163,16 @@ def test_g_range_is_under_the_work_budget(capsys, monkeypatch):
 
 def test_sieve_is_under_the_work_budget(capsys, monkeypatch):
     monkeypatch.setenv("APLCM_BUDGET", "100")
-    for argv in (("period", "--k"), ("table", "--k-max")):
-        code, out, err = run(capsys, *argv, "101")
-        assert code == 2 and out == "" and "sieve" in err and "budget 100" in err
-        code, out, _ = run(capsys, *argv, "100")
-        assert code == 0 and out
+    code, out, err = run(capsys, "period", "--k", "101")
+    assert code == 2 and out == "" and "sieve" in err and "budget 100" in err
+    code, out, _ = run(capsys, "period", "--k", "100")
+    assert code == 0 and out
+    # table sieves once per k = 0..K: work K(K + 1)/2, 91 at K = 13.
+    monkeypatch.setenv("APLCM_BUDGET", "91")
+    code, out, err = run(capsys, "table", "--k-max", "14")
+    assert code == 2 and out == "" and "sieve" in err and "budget 91" in err
+    code, out, _ = run(capsys, "table", "--k-max", "13")
+    assert code == 0 and out
 
 
 def test_g_valuation_prime_is_bounded(capsys):
@@ -287,7 +292,7 @@ def test_witness_p_at_the_primality_bound_exits_at_once(capsys, monkeypatch):
     def no_primality_test(n):
         raise AssertionError(f"is_prime({n}) was called")
 
-    monkeypatch.setattr(aplcm.period, "is_prime", no_primality_test)
+    monkeypatch.setattr(aplcm.numtheory, "is_prime", no_primality_test)
     code, _, err = run(capsys, "witness", "--k", str(10**26),
                        "--p", str(MILLER_RABIN_BOUND))
     assert code == 2 and "must be below" in err

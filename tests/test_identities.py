@@ -167,6 +167,9 @@ def test_build_period_table_examples():
 def test_build_period_table_budget():
     with pytest.raises(BudgetExceededError):
         build_period_table(Progression(1, 0), 10, budget=100)
+    # The period 33256080 has 25 bits; the work is given as a power of two.
+    with pytest.raises(BudgetExceededError, match=r"25 bits.* needs work ~2\^\d+ >"):
+        build_period_table(Progression(1, 0), 20)
 
 
 def test_period_table_covers_three_periods():

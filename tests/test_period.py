@@ -2,9 +2,16 @@ import math
 
 import pytest
 
-from aplcm import period
+from aplcm import numtheory
 from aplcm.errors import BudgetExceededError, SelfCheckError
-from aplcm.gfun import Progression, Window, ratio_valuation_by_counting, window_ratio
+from aplcm.gfun import (
+    Progression,
+    Window,
+    count_multiples,
+    count_multiples_naive,
+    ratio_valuation_by_counting,
+    window_ratio,
+)
 from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
     _product_tree,
@@ -114,6 +121,9 @@ def test_bruteforce_budget_guard():
         smallest_period_bruteforce(Progression(1, 0), 8, budget=100)
     with pytest.raises(BudgetExceededError, match=r"work ~2\^\d+ > budget"):
         smallest_period_bruteforce(Progression(1, 0), 13)
+    # The work, about 2^407 here, is given by its bit length only.
+    with pytest.raises(BudgetExceededError, match=r"needs work ~2\^\d+ > budget"):
+        valuation_period_bruteforce(2, Progression(1, 0), 10**60, budget=10**6)
 
 
 def test_valuation_period_examples():
@@ -199,12 +209,13 @@ def test_nonperiod_witness_preconditions():
         nonperiod_witness(2, Progression(1, 0), 3)
 
 
+def no_primality_test(n):
+    raise AssertionError(f"is_prime({n}) was called")
+
+
 def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
     # Such a p would fall back to trial division; refused before any test.
-    def no_primality_test(n):
-        raise AssertionError(f"is_prime({n}) was called")
-
-    monkeypatch.setattr(period, "is_prime", no_primality_test)
+    monkeypatch.setattr(numtheory, "is_prime", no_primality_test)
     with pytest.raises(ValueError, match="must be below"):
         nonperiod_witness(MILLER_RABIN_BOUND, Progression(1, 0), 10**26)
     # The O(1) preconditions still come first.
@@ -213,6 +224,35 @@ def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
     with pytest.raises(ValueError, match="divides"):
         nonperiod_witness(MILLER_RABIN_BOUND, Progression(MILLER_RABIN_BOUND, 1),
                           10**26)
+
+
+# Every public function that takes a prime p, called with p = 2**89 - 1:
+# a Mersenne prime above the bound, where is_prime would trial-divide.
+PRIME_TAKERS = {
+    "valuation": lambda p: valuation(p, 5),
+    "count_multiples": lambda p: count_multiples(
+        p, 1, Progression(1, 0), Window(1, 5)
+    ),
+    "count_multiples_naive": lambda p: count_multiples_naive(
+        p, 1, Progression(1, 0), Window(1, 5)
+    ),
+    "ratio_valuation_by_counting": lambda p: ratio_valuation_by_counting(
+        p, Progression(1, 0), Window(1, 5)
+    ),
+    "valuation_period_bruteforce": lambda p: valuation_period_bruteforce(
+        p, Progression(1, 0), 5
+    ),
+    "nonperiod_witness": lambda p: nonperiod_witness(p, Progression(1, 0), 10**27),
+}
+
+
+@pytest.mark.parametrize("call", PRIME_TAKERS.values(), ids=PRIME_TAKERS)
+def test_prime_argument_is_bounded_before_any_primality_test(monkeypatch, call):
+    p = 2**89 - 1
+    assert p > MILLER_RABIN_BOUND
+    monkeypatch.setattr(numtheory, "is_prime", no_primality_test)
+    with pytest.raises(ValueError, match="must be below"):
+        call(p)
 
 
 def test_closed_form_equals_bruteforce_including_unreduced():

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
 from aplcm import verify
 from aplcm.errors import SelfCheckError
+from aplcm.numtheory import integer_log, primes_upto
 from aplcm.verify import available_suites, run_suite
 
 
@@ -50,6 +53,18 @@ INJECTED_FAULTS = [
     ("prime-period", "window_ratio", lambda prog, w: 1,
      {"k", "a", "b", "p", "n0"}),
     ("fast-lcm", "fast_lcm", _raise_self_check, {"k", "a", "b", "n"}),
+    # A closed form whose per-prime table lists no prime disagrees with
+    # every search that finds a period above 1.
+    pytest.param("prime-period", "smallest_period",
+                 lambda prog, k: SimpleNamespace(per_prime={}),
+                 {"k", "a", "b", "p"}, id="prime-period-per-prime"),
+    # Keeping every prime, removed and exceptional ones too, asks for
+    # witnesses that cannot exist; the suite reports them, not raises.
+    pytest.param("prime-period", "smallest_period",
+                 lambda prog, k: SimpleNamespace(per_prime={
+                     p: p ** integer_log(p, k) for p in primes_upto(k)
+                 }),
+                 {"k", "a", "b", "p"}, id="prime-period-all-kept"),
 ]
 
 
