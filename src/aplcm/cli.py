@@ -26,6 +26,7 @@ from .errors import BudgetExceededError, SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
+    _counted_valuation,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
@@ -187,8 +188,10 @@ def cmd_g(args):
     work = (hi - lo + 1) * (args.k + 1)
     require_budget(work, resolve_budget(None), "the --n range")
     if args.p is not None:
+        # One validated call checks p and prog for the whole range.
+        ratio_valuation_by_counting(args.p, prog, Window(lo, args.k))
         values = [
-            ratio_valuation_by_counting(args.p, prog, Window(n, args.k))
+            _counted_valuation(args.p, args.a, args.b, n, args.k)
             for n in range(lo, hi + 1)
         ]
     else:
@@ -222,35 +225,25 @@ def cmd_lcm(args):
     require_budget((args.k + 1) ** 2 * w**2, budget, "the lcm of k+1 window terms")
 
     terms = window_terms(prog, Window(args.n, args.k))
-    # The answer of the direct method, and the certificate of the period one.
+    # Every method answers with this lcm; a period-table value must equal
+    # it, so a tampered table file cannot yield a wrong answer unnoticed.
     lcm = math.lcm(*terms)
-    direct = None if args.method == "period" else lcm
     period_val = None
     if args.method != "direct":
         table = _acquire_table(prog, args.k, args.table, budget)
         period_val = fast_lcm(table, args.n)
-        # Without the direct lcm to compare against, a table file could
-        # otherwise yield a wrong answer unnoticed.
-        if direct is None and lcm != period_val:
+        if period_val != lcm:
             raise SelfCheckError(
-                f"period-table value {period_val} is not the lcm of the window "
-                f"terms {terms[0]}..{terms[-1]}"
+                f"lcm mismatch at n={args.n}: direct {lcm}, "
+                f"period-table {period_val}"
             )
-
-    mismatch = direct is not None and period_val is not None and direct != period_val
-    value = direct if direct is not None else period_val
     result = {
-        "lcm": value if not mismatch else None,
-        "direct": direct,
+        "lcm": lcm,
+        "direct": None if args.method == "period" else lcm,
         "period": period_val,
-        "agree": None if args.method != "both" else not mismatch,
+        "agree": True if args.method == "both" else None,
     }
-    if mismatch:
-        return result, (), (
-            f"lcm mismatch at n={args.n}: direct {direct}, "
-            f"period-table {period_val}"
-        )
-    return result, (value,), None
+    return result, (lcm,), None
 
 
 def cmd_witness(args):

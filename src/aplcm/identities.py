@@ -230,10 +230,14 @@ class PeriodTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
         if len(self.values) != self.period:
             raise ValueError(
                 f"expected {self.period} values, got {len(self.values)}"
             )
+        if min(self.values) < 1:
+            raise ValueError(f"table entries must be >= 1, got {min(self.values)}")
 
 
 def build_period_table(
@@ -291,13 +295,9 @@ def load_period_table(path) -> PeriodTable:
     if m is None:
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
     a, b, k, period = (int(g) for g in m.groups())
-    body = lines[1:]
-    if len(body) != period:
-        raise ValueError(
-            f"{path}: header promises {period} values, file has {len(body)}"
-        )
+    # PeriodTable owns the checks on the period, the count and the entries.
     try:
-        values = tuple(int(line) for line in body)
+        values = tuple(int(line) for line in lines[1:])
+        return PeriodTable(Progression(a, b), k, period, values)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-integer table entry") from exc
-    return PeriodTable(Progression(a, b), k, period, values)
+        raise ValueError(f"{path}: {exc}") from exc

@@ -66,9 +66,10 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Answered from the shared sieve when it already covers n, by
+    Answered from the shared sieve when it already covers n, and by
     Miller-Rabin to the first 13 prime bases below MILLER_RABIN_BOUND
-    (where that is exact), and by trial division above it.
+    (where that is exact). A larger n with no prime factor up to 41
+    raises ValueError: no bounded test here is exact for it.
     """
     if n <= _prime_cache_limit:
         # n >= 2 first: a negative index would read the flags from the end.
@@ -76,21 +77,16 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < MILLER_RABIN_BOUND:
-        return all(_strong_probable_prime(n, base) for base in _MR_BASES)
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality of n >= {MILLER_RABIN_BOUND} is not decided")
+    return all(_strong_probable_prime(n, base) for base in _MR_BASES)
 
 
 def require_prime(p: int) -> None:
     """Refuse p unless it is a prime below MILLER_RABIN_BOUND.
 
-    The bound is checked first: above it is_prime falls back to trial
-    division, which would not finish for a large p.
+    The bound is checked first, so a large p gets this message and no
+    primality test runs.
     """
     if p >= MILLER_RABIN_BOUND:
         raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -539,9 +540,9 @@ def _run_case(case):
 def run_suite(
     name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> VerificationReport:
-    """Run every case of one suite, across `jobs` worker processes if
-    jobs > 1. Both paths keep case order, so the failure list is the
-    same for every worker count.
+    """Run every case of one suite, across min(jobs, CPU count) worker
+    processes if that is above 1. Both paths keep case order, so the
+    failure list is the same for every worker count.
     """
     if name not in SUITES:
         raise KeyError(name)
@@ -549,11 +550,13 @@ def run_suite(
     cases = SUITES[name](budget)
     if not cases:
         raise SelfCheckError(f"suite {name} ran no cases")
-    if jobs <= 1 or len(cases) < 2:
+    # The pool forks all its workers at once, so jobs alone must not size it.
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(cases) < 2:
         results = list(map(_run_case, cases))
     else:
-        chunksize = max(1, len(cases) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, len(cases) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases, chunksize=chunksize))
     return VerificationReport(
         suite=name,

@@ -12,8 +12,8 @@ import pytest
 import aplcm
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
-from aplcm.gfun import Progression
-from aplcm.numtheory import MILLER_RABIN_BOUND, lcm_upto
+from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
+from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto
 from aplcm.period import smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
@@ -186,6 +186,25 @@ def test_g_valuation_prime_is_bounded(capsys):
     assert code == 2 and "must be below" in err
 
 
+def test_g_valuation_tests_p_once_per_range(capsys, monkeypatch):
+    p = 2**61 - 1
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(aplcm.numtheory, "is_prime", counting_is_prime)
+    code, payload, _ = run_json(capsys, "g", "--k", "3", "--a", "5", "--b",
+                                "2", "--n", "1..50", "--p", str(p), "--json")
+    assert code == 0 and len(calls) <= 2
+    prog = Progression(5, 2)
+    assert payload["result"] == [
+        str(ratio_valuation_by_counting(p, prog, Window(n, 3)))
+        for n in range(1, 51)
+    ]
+
+
 def test_lcm_runs_both_methods_by_default(capsys):
     code, out, _ = run(capsys, "lcm", "--k", "2", "--n", "10")
     assert code == 0 and out.strip() == "660"
@@ -215,9 +234,30 @@ def test_lcm_period_method_saves_and_reuses_table(capsys, tmp_path):
 def test_lcm_mismatch_tripwire(capsys, tmp_path):
     path = tmp_path / "corrupt.txt"
     path.write_text("aplcm-table v1 a=1 b=0 k=2 period=2\n1\n1\n")
-    code, _, err = run(capsys, "lcm", "--k", "2", "--n", "10",
-                       "--table", str(path))
-    assert code == 1 and "mismatch" in err
+    expected = ("consistency failure: lcm mismatch at n=10: direct 660, "
+                "period-table 1320\n")
+    # Both methods: the default one, and the period one alone.
+    for method in ((), ("--method", "period")):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10",
+                                 *method, "--table", str(path), *json_flag)
+            assert (code, out, err) == (1, "", expected), (method, json_flag)
+
+
+def test_lcm_malformed_table_files_exit_2_naming_the_file(capsys, tmp_path):
+    for name, text in (
+        ("period0.txt", "aplcm-table v1 a=1 b=0 k=2 period=0\n"),
+        ("zero.txt", "aplcm-table v1 a=1 b=0 k=2 period=2\n2\n0\n"),
+        ("negative.txt", "aplcm-table v1 a=1 b=0 k=2 period=2\n2\n-2\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        for method in ((), ("--method", "period")):
+            code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10",
+                                 *method, "--table", str(path))
+            assert code == 2 and out == "", (name, method)
+            assert err.startswith("error: ") and name in err
+            assert "Traceback" not in err
 
 
 def test_lcm_period_method_certifies_a_table_file(capsys, tmp_path):
@@ -226,7 +266,7 @@ def test_lcm_period_method_certifies_a_table_file(capsys, tmp_path):
     path.write_text("aplcm-table v1 a=1 b=0 k=2 period=2\n1\n1\n")
     code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10",
                          "--method", "period", "--table", str(path))
-    assert code == 1 and out == "" and "not the lcm" in err
+    assert code == 1 and out == "" and "mismatch" in err
 
     path = tmp_path / "valid.txt"
     for argv in (("--k", "2", "--n", "10"), ("--k", "6", "--a", "6",
@@ -288,7 +328,8 @@ def test_witness_precondition_exit(capsys):
 
 
 def test_witness_p_at_the_primality_bound_exits_at_once(capsys, monkeypatch):
-    # Trial division would never finish here, so no primality test may run.
+    # is_prime would refuse this p with a vaguer message, so the bound
+    # check must come first and no primality test may run.
     def no_primality_test(n):
         raise AssertionError(f"is_prime({n}) was called")
 

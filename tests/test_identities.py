@@ -182,6 +182,10 @@ def test_period_table_covers_three_periods():
 def test_period_table_length_validation():
     with pytest.raises(ValueError):
         PeriodTable(Progression(1, 0), 2, 2, (1,))
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        PeriodTable(Progression(1, 0), 2, 0, ())
+    with pytest.raises(ValueError, match="entries must be >= 1"):
+        PeriodTable(Progression(1, 0), 2, 2, (2, 0))
 
 
 def test_period_table_entries_divide_scaled_factorial():
@@ -252,3 +256,13 @@ def test_table_load_rejects_malformed_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_period_table(empty)
+
+    for name, text in (
+        ("period0.txt", "aplcm-table v1 a=1 b=0 k=2 period=0\n"),
+        ("zero.txt", "aplcm-table v1 a=1 b=0 k=2 period=2\n2\n0\n"),
+        ("negative.txt", "aplcm-table v1 a=1 b=0 k=2 period=2\n2\n-2\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            load_period_table(path)

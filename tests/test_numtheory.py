@@ -1,5 +1,6 @@
 import math
 import random
+from time import perf_counter
 
 import pytest
 
@@ -228,6 +229,16 @@ def test_is_prime_above_the_sieve_matches_trial_division():
     samples += [rng.randrange(10**8, 10**9) for _ in range(300)]
     for n in samples:
         assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_refuses_at_once_above_the_bound():
+    p = 2**89 - 1  # a Mersenne prime above MILLER_RABIN_BOUND
+    started = perf_counter()
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(p)
+    assert perf_counter() - started < 1
+    # A small factor still answers, on either side of the bound.
+    assert not is_prime(2**89) and not is_prime(3 * p)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

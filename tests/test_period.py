@@ -214,7 +214,7 @@ def no_primality_test(n):
 
 
 def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
-    # Such a p would fall back to trial division; refused before any test.
+    # is_prime would refuse such a p too; the bound is checked before it.
     monkeypatch.setattr(numtheory, "is_prime", no_primality_test)
     with pytest.raises(ValueError, match="must be below"):
         nonperiod_witness(MILLER_RABIN_BOUND, Progression(1, 0), 10**26)
@@ -227,7 +227,7 @@ def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
 
 
 # Every public function that takes a prime p, called with p = 2**89 - 1:
-# a Mersenne prime above the bound, where is_prime would trial-divide.
+# a Mersenne prime above the bound, where is_prime decides nothing.
 PRIME_TAKERS = {
     "valuation": lambda p: valuation(p, 5),
     "count_multiples": lambda p: count_multiples(

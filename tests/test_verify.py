@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -91,3 +92,33 @@ def test_worker_count_does_not_change_results(name):
     parallel = run_suite(name, jobs=3)
     assert serial.cases_run == parallel.cases_run
     assert serial.failures == parallel.failures
+
+
+def test_jobs_are_capped_by_the_cpu_count(monkeypatch):
+    # Fakes only: a real pool of 10**6 workers would fork them all at once.
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    capped = run_suite("integer-basics", jobs=10**6)
+    serial = run_suite("integer-basics", jobs=1)
+    assert recorded == [2]
+    assert capped.cases_run == serial.cases_run
+    assert capped.failures == serial.failures
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_suite("integer-basics", jobs=10**6)
+    assert recorded == [2]  # an unknown CPU count means one worker
