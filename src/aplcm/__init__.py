@@ -41,6 +41,7 @@ from .period import (
     closed_form_period,
     exceptional_factor,
     nonperiod_witness,
+    period_rows,
     smallest_period,
     smallest_period_bruteforce,
     valuation_period_bruteforce,
@@ -78,6 +79,7 @@ __all__ = [
     "lcm_upto",
     "load_period_table",
     "nonperiod_witness",
+    "period_rows",
     "primes_upto",
     "ratio_valuation_by_counting",
     "run_suite",

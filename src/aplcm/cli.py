@@ -41,6 +41,7 @@ from .numtheory import integer_log
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
+    period_rows,
     smallest_period,
     smallest_period_bruteforce,
 )
@@ -71,14 +72,16 @@ def resolve_budget(explicit: int | None) -> int:
 
 
 def _jsonify(obj):
-    """Big integers become decimal strings; containers recurse."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
+    """Big integers become decimal strings; containers recurse.
+
+    Dispatches on the exact type, so bools and None pass through.
+    """
+    kind = type(obj)
+    if kind is int:
         return str(obj)
-    if isinstance(obj, dict):
+    if kind is dict:
         return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_jsonify(v) for v in obj]
     return obj
 
@@ -277,20 +280,14 @@ def _table_lines(rows):
 
 def cmd_table(args):
     prog = Progression(args.a, args.b)
-    # One closed form, so one prime sieve up to k, for each k = 0..k-max.
+    # One pass over k = 0..k-max; the rows' decimal output still grows
+    # quadratically in k-max.
     work = args.k_max * (args.k_max + 1) // 2
-    require_budget(work, resolve_budget(None), "one prime sieve per k up to k-max")
-    rows = []
-    for k in range(args.k_max + 1):
-        report = smallest_period(prog, k)
-        rows.append(
-            {
-                "k": k,
-                "lcm_upto_k": report.lcm_upto,
-                "exceptional_factor": report.exceptional,
-                "period": report.value,
-            }
-        )
+    require_budget(work, resolve_budget(None), "the rows for k up to k-max")
+    rows = [
+        {"k": k, "lcm_upto_k": lcm, "exceptional_factor": exceptional, "period": period}
+        for k, lcm, exceptional, period in period_rows(prog, args.k_max)
+    ]
     return {"rows": rows}, _table_lines(rows), None
 
 

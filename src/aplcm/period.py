@@ -14,6 +14,7 @@ searches below are independent of that pass and serve as its oracles.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, require_budget
@@ -41,6 +42,7 @@ __all__ = [
     "closed_form_period",
     "exceptional_factor",
     "nonperiod_witness",
+    "period_rows",
     "smallest_period",
     "smallest_period_bruteforce",
     "valuation_period_bruteforce",
@@ -154,6 +156,38 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
         removed_primes=removed,
         per_prime=per_prime,
     )
+
+
+def period_rows(
+    prog: Progression, k_max: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """(k, lcm(1..k), exceptional factor, smallest period) for k = 0..k_max.
+
+    One pass over k instead of one smallest_period per k: lcm(1..k)
+    gains a factor p exactly when k is a power of the prime p, and the
+    blocks of primes dividing the reduced difference grow with it. The
+    period follows from PeriodReport.lcm_upto's identity, period times
+    exceptional factor times removed blocks equals lcm(1..k), with the
+    exceptional factor taken from exceptional_factor.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    ar = prog.a_reduced
+    base: dict[int, int] = {}  # every prime power q <= k_max -> its prime
+    for p in primes_upto(k_max):
+        q = p
+        while q <= k_max:
+            base[q] = p
+            q *= p
+    lcm = removed = 1
+    for k in range(k_max + 1):
+        p = base.get(k)
+        if p is not None:
+            lcm *= p
+            if ar % p == 0:
+                removed *= p
+        exceptional = exceptional_factor(k, ar)[0]
+        yield k, lcm, exceptional, lcm // (exceptional * removed)
 
 
 def closed_form_period(k: int, a: int) -> FactoredInteger:

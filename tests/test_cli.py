@@ -167,10 +167,10 @@ def test_sieve_is_under_the_work_budget(capsys, monkeypatch):
     assert code == 2 and out == "" and "sieve" in err and "budget 100" in err
     code, out, _ = run(capsys, "period", "--k", "100")
     assert code == 0 and out
-    # table sieves once per k = 0..K: work K(K + 1)/2, 91 at K = 13.
+    # table's output grows as its rows: work K(K + 1)/2, 91 at K = 13.
     monkeypatch.setenv("APLCM_BUDGET", "91")
     code, out, err = run(capsys, "table", "--k-max", "14")
-    assert code == 2 and out == "" and "sieve" in err and "budget 91" in err
+    assert code == 2 and out == "" and "rows" in err and "budget 91" in err
     code, out, _ = run(capsys, "table", "--k-max", "13")
     assert code == 0 and out
 
@@ -386,6 +386,17 @@ def test_lcm_upto_k_matches_lcm_upto(capsys):
         rows = payload["result"]["rows"]
         assert [row["lcm_upto_k"] for row in rows] == \
             [str(lcm_upto(k).value) for k in range(61)]
+
+
+def test_table_rows_come_from_one_pass(capsys, monkeypatch):
+    # The rows never go through a closed form per k.
+    def refuse(*args):
+        raise AssertionError("table called smallest_period")
+
+    monkeypatch.setattr("aplcm.period.smallest_period", refuse)
+    monkeypatch.setattr("aplcm.cli.smallest_period", refuse)
+    code, payload, _ = run_json(capsys, "table", "--k-max", "50", "--json")
+    assert code == 0 and len(payload["result"]["rows"]) == 51
 
 
 def test_table_output_is_deterministic(capsys):

@@ -24,6 +24,7 @@ from aplcm.period import (
     closed_form_period,
     exceptional_factor,
     nonperiod_witness,
+    period_rows,
     smallest_period,
     smallest_period_bruteforce,
     valuation_period_bruteforce,
@@ -105,6 +106,30 @@ def test_report_lcm_upto_matches_lcm_upto():
     # The sweep meets both primes that drop out of the period.
     assert any(r.removed_primes for r in reports)
     assert any(r.exceptional_prime is not None for r in reports)
+
+
+ROW_PAIRS = ((1, 0), (7, 3), (6, 4), (35, 12), (30, 1), (12, 18))
+
+
+@pytest.mark.parametrize("a, b", ROW_PAIRS)
+def test_period_rows_match_smallest_period(a, b):
+    # Covers unreduced pairs and a = 30, which removes 2, 3 and 5.
+    prog = Progression(a, b)
+    rows = list(period_rows(prog, 600))
+    assert [row[0] for row in rows] == list(range(601))
+    for k, lcm, exceptional, period in rows:
+        report = smallest_period(prog, k)
+        assert (lcm, exceptional, period) == \
+            (report.lcm_upto, report.exceptional, report.value), k
+
+
+def test_period_rows_smallest_ranges():
+    for a, b in ROW_PAIRS:
+        prog = Progression(a, b)
+        assert list(period_rows(prog, 0)) == [(0, 1, 1, 1)]
+        assert list(period_rows(prog, 1)) == [(0, 1, 1, 1), (1, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        list(period_rows(Progression(1, 0), -1))
 
 
 def test_bruteforce_small_examples():
