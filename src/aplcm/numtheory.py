@@ -6,10 +6,11 @@ integers; nothing ever goes through floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 __all__ = [
@@ -128,6 +129,75 @@ def primes_upto(k: int) -> list[int]:
     return list(_prime_cache[: bisect_right(_prime_cache, k)])
 
 
+# Shared product levels of lcm(1..k). Level 0 lists the prime p of every
+# prime power p**j up to the cache limit, in ascending order of p**j, so
+# lcm(1..k) is the product of its first n entries, n the number of prime
+# powers <= k. Level m holds the products of aligned runs of 2**m level-0
+# entries, built only over the longest prefix queried so far; a prefix of
+# n entries is then one node per set bit of n. Level 0 grows only at its
+# end, so built nodes stay valid. Like the sieve, the cache is one
+# immutable tuple, (limit, higher prime powers, built prefix, levels),
+# swapped in whole. numtheory.lcm_upto does not use it: it stays the
+# independent computation.
+_lcm_cache: tuple = (1, (), 0, ((),))
+
+
+def _lcm_level0(cache: tuple, k: int) -> tuple:
+    """cache with level 0 rebuilt up to the sieve limit (at least k)."""
+    _, _, built, levels = cache
+    primes_upto(k)
+    limit = _prime_cache_limit
+    primes = _prime_cache
+    higher = []
+    for p in primes[: bisect_right(primes, math.isqrt(limit))]:
+        q = p * p
+        while q <= limit:
+            higher.append((q, p))
+            q *= p
+    higher.sort()
+    # Merge the few higher powers into the primes: slices, no per-prime loop.
+    level0: list[int] = []
+    start = 0
+    for q, p in higher:
+        stop = bisect_right(primes, q, start)
+        level0 += primes[start:stop]
+        level0.append(p)
+        start = stop
+    level0 += primes[start : bisect_right(primes, limit)]
+    return limit, tuple(q for q, _ in higher), built, (tuple(level0), *levels[1:])
+
+
+def _cached_lcm_upto(k: int) -> int:
+    """lcm(1..k) as the product of at most one cached node per level."""
+    global _lcm_cache
+    cache = _lcm_cache
+    if k > cache[0]:
+        cache = _lcm_level0(cache, k)
+    limit, higher, built, levels = cache
+    n = bisect_right(_prime_cache, k) + bisect_right(higher, k)
+    if n > built:
+        grown = list(levels)
+        for m in range(1, n.bit_length()):
+            if m == len(grown):
+                grown.append(())
+            have, need = len(grown[m]), n >> m
+            below = grown[m - 1][2 * have : 2 * need]
+            grown[m] += tuple(map(operator.mul, below[::2], below[1::2]))
+        levels = tuple(grown)
+        cache = limit, higher, n, levels
+    if cache is not _lcm_cache:
+        _lcm_cache = cache
+    # The node of level m ends the prefix's aligned run of 2**m entries
+    # when bit m of n is set; the smallest nodes are multiplied first.
+    product, m = 1, 0
+    while n:
+        if n & 1:
+            product *= levels[m][n - 1]
+        n >>= 1
+        m += 1
+    return product
+
+
 def _product_tree(xs) -> int:
     """Product of xs by a balanced tree (1 for an empty input).
 
@@ -207,13 +277,13 @@ def factorize(n: int) -> dict[int, int]:
 class FactoredInteger:
     """A positive integer kept as its prime factorization.
 
-    The factorization is the source of truth; ``value`` is recomputed on
-    construction. Keys are ascending primes with exponents >= 1 (zero
-    exponents are dropped, negatives rejected).
+    The factorization is the source of truth; ``value``, the product of
+    its blocks, is computed on first access and then kept. Keys are
+    ascending primes with exponents >= 1 (zero exponents are dropped,
+    negatives rejected).
     """
 
     factors: dict[int, int]
-    value: int = field(init=False)
 
     def __post_init__(self):
         canonical: dict[int, int] = {}
@@ -227,9 +297,18 @@ class FactoredInteger:
                 raise ValueError(f"{p} is not prime")
             canonical[p] = e
         object.__setattr__(self, "factors", canonical)
-        object.__setattr__(
-            self, "value", _product_tree([p**e for p, e in canonical.items()])
-        )
+
+    @classmethod
+    def _from_sieve(cls, factors: dict[int, int]) -> FactoredInteger:
+        """Wrap factors that are canonical by construction (ascending
+        sieve primes, exponents >= 1) without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        return self
+
+    @functools.cached_property
+    def value(self) -> int:
+        return _product_tree([p**e for p, e in self.factors.items()])
 
     def divisors(self) -> list[int]:
         """All positive divisors of the value, ascending."""

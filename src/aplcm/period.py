@@ -3,19 +3,24 @@
 The ratio n -> window_ratio(prog, Window(n, k)) is periodic, and
 lcm(1..k) is always a period: shifting the start index by lcm(1..k)
 leaves every pairwise gcd of window terms unchanged, hence the ratio
-too. The smallest period is derived prime by prime in one pass over the
-primes p <= k. With p**E the largest power of p not above k, the block
-p**E drops out when p divides the reduced difference, or when p is the
-single exceptional prime with p**E | k + 1; otherwise it is kept. The
-per-prime periods multiply to the smallest period. The brute-force
-searches below are independent of that pass and serve as its oracles.
+too. The smallest period is lcm(1..k) with whole prime blocks taken
+out. With p**E the largest power of p not above k, the block p**E drops
+out when p divides the reduced difference, or when p is the single
+exceptional prime with p**E | k + 1; otherwise it is kept. One pass over
+the primes p <= k sorts them into these branches, and the period is
+lcm(1..k), from numtheory's shared product cache, divided by the blocks
+that drop out. The per-prime periods multiply to the smallest period.
+The brute-force searches below are independent of that pass and of the
+cache, and serve as their oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SelfCheckError, require_budget
 from .gfun import (
@@ -28,6 +33,7 @@ from .gfun import (
 )
 from .numtheory import (
     FactoredInteger,
+    _cached_lcm_upto,
     factorize,
     integer_log,
     lcm_upto,
@@ -87,8 +93,11 @@ class PeriodReport:
     """Closed-form smallest period with its provenance.
 
     removed_primes lists (q, E) for primes q dividing the reduced
-    difference, q <= k; per_prime maps every prime p <= k to the period
-    of the p-valuation of the ratio (1 where the prime drops out).
+    difference, q <= k. value is the period and lcm_upto is lcm(1..k);
+    both are left out of repr, whose int-to-str conversion could exceed
+    the interpreter's digit limit. per_prime maps every prime p <= k to
+    the period of the p-valuation of the ratio (1 where the prime drops
+    out); it is derived from closed_form on first access.
     """
 
     k: int
@@ -99,22 +108,13 @@ class PeriodReport:
     exceptional: int
     exceptional_prime: int | None
     removed_primes: list[tuple[int, int]]
-    per_prime: dict[int, int]
+    value: int = field(repr=False)
+    lcm_upto: int = field(repr=False)
 
-    @property
-    def value(self) -> int:
-        return self.closed_form.value
-
-    @property
-    def lcm_upto(self) -> int:
-        """lcm(1..k), put back together from the closed form on access.
-
-        Every prime p <= k is kept, exceptional or removed, so the
-        period times the exceptional factor times the removed blocks is
-        exactly lcm(1..k).
-        """
-        removed = math.prod(q**e for q, e in self.removed_primes)
-        return self.value * self.exceptional * removed
+    @functools.cached_property
+    def per_prime(self) -> dict[int, int]:
+        kept = self.closed_form.factors
+        return {p: p ** kept.get(p, 0) for p in primes_upto(self.k)}
 
 
 def smallest_period(prog: Progression, k: int) -> PeriodReport:
@@ -125,36 +125,48 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
     preserves the smallest period. Each prime p <= k lands in exactly
     one branch: removed (p divides the reduced difference), exceptional
     (decided by exceptional_factor), or kept with its full block p**E.
+    So the period is lcm(1..k), taken from the shared product cache,
+    divided by the exceptional factor and the removed blocks; a
+    remainder is a bug and raises SelfCheckError.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     ar = prog.a_reduced
     exc_value, exc_prime = exceptional_factor(k, ar)
-    kept: dict[int, int] = {}
-    removed: list[tuple[int, int]] = []
-    per_prime: dict[int, int] = {}
+    primes = primes_upto(k)
+    kept = dict.fromkeys(primes, 1)
+    removed = []
     root = math.isqrt(k)
-    for p in primes_upto(k):
-        # Every prime above isqrt(k) has exponent 1.
-        e = 1 if p > root else integer_log(p, k)
+    # Every prime above isqrt(k) has exponent 1, and only primes up to
+    # the reduced difference can divide it: the loop stops at both.
+    for p in primes[: bisect_right(primes, max(root, ar))]:
+        if p <= root:
+            kept[p] = integer_log(p, k)
         if ar % p == 0:
-            removed.append((p, e))
-            per_prime[p] = 1
-        elif p == exc_prime:
-            per_prime[p] = 1
-        else:
-            kept[p] = e
-            per_prime[p] = p**e
+            removed.append((p, kept.pop(p)))
+    if exc_prime is not None:
+        del kept[exc_prime]
+    dropped = exc_value
+    for q, e in removed:
+        dropped *= q**e
+    lcm = _cached_lcm_upto(k)
+    value, rest = divmod(lcm, dropped)
+    if rest:
+        raise SelfCheckError(
+            f"lcm(1..{k}) is not a multiple of the exceptional factor "
+            f"{exc_value} times the removed blocks {removed}"
+        )
     return PeriodReport(
         k=k,
         a=prog.a,
         b=prog.b,
         a_reduced=ar,
-        closed_form=FactoredInteger(kept),
+        closed_form=FactoredInteger._from_sieve(kept),
         exceptional=exc_value,
         exceptional_prime=exc_prime,
         removed_primes=removed,
-        per_prime=per_prime,
+        value=value,
+        lcm_upto=lcm,
     )
 
 
@@ -166,7 +178,7 @@ def period_rows(
     One pass over k instead of one smallest_period per k: lcm(1..k)
     gains a factor p exactly when k is a power of the prime p, and the
     blocks of primes dividing the reduced difference grow with it. The
-    period follows from PeriodReport.lcm_upto's identity, period times
+    period follows from smallest_period's identity, period times
     exceptional factor times removed blocks equals lcm(1..k), with the
     exceptional factor taken from exceptional_factor.
     """

@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -39,6 +38,7 @@ from .identities import (
     lcm_by_inclusion_exclusion,
 )
 from .numtheory import (
+    _cached_lcm_upto,
     integer_log,
     lcm_upto,
     primes_upto,
@@ -451,6 +451,9 @@ def _check_lcm_upto(k):
     iterated = math.lcm(*range(1, k + 1))
     if factored.value != iterated:
         yield FailureRecord({"check": "lcm-upto", "k": k}, iterated, factored.value)
+    cached = _cached_lcm_upto(k)
+    if cached != iterated:
+        yield FailureRecord({"check": "cached-lcm-upto", "k": k}, iterated, cached)
     for p in primes_upto(k):
         if valuation(p, factored.value) != integer_log(p, k):
             yield FailureRecord(
@@ -555,6 +558,10 @@ def run_suite(
     if workers <= 1 or len(cases) < 2:
         results = list(map(_run_case, cases))
     else:
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # and the CLI's other subcommands never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases, chunksize=chunksize))

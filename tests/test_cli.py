@@ -567,14 +567,19 @@ def test_shared_parser_gives_the_output_of_fresh_parsers(capsys):
         assert (c1, _without_timings(out1), err1) == (c2, _without_timings(out2), err2)
 
 
-def test_module_entry_point_runs_in_a_fresh_process():
-    # The in-process tests share one parser; this is the per-process path.
+def _fresh_python(*argv):
+    """Run the interpreter on argv with this checkout's package importable."""
     src = str(Path(aplcm.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_in_a_fresh_process():
+    # The in-process tests share one parser; this is the per-process path.
     period, usage = (
-        subprocess.run([sys.executable, "-m", "aplcm", *argv], env=env,
-                       capture_output=True, text=True, timeout=60)
+        _fresh_python("-m", "aplcm", *argv)
         for argv in (("period", "--k", "7", "--json"), ("g", "--k", "3", "--n", "0"))
     )
     assert period.returncode == 0, period.stderr
@@ -582,3 +587,15 @@ def test_module_entry_point_runs_in_a_fresh_process():
     assert set(payload) == JSON_KEYS
     assert payload["result"]["period"] == "105"
     assert usage.returncode == 2 and "start index" in usage.stderr
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # Only verify with more than one worker needs ProcessPoolExecutor,
+    # whose modules take a large share of the import time.
+    probe = _fresh_python("-c", (
+        "import sys, aplcm.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    ))
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"

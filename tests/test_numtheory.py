@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 from time import perf_counter
 
 import pytest
@@ -114,6 +115,25 @@ def test_product_tree_matches_math_prod():
     k = 10**5
     powers = [p ** integer_log(p, k) for p in primes_upto(k)]
     assert _product_tree(powers) == math.prod(powers)
+
+
+def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
+    # From an empty sieve and cache, shuffled k with the sieve grown in
+    # between: level 0 is rebuilt over built levels, which grow out of
+    # order.
+    monkeypatch.setattr(numtheory, "_prime_cache", ())
+    monkeypatch.setattr(numtheory, "_prime_flags", b"")
+    monkeypatch.setattr(numtheory, "_prime_cache_limit", 1)
+    monkeypatch.setattr(numtheory, "_lcm_cache", (1, (), 0, ((),)))
+    expected = list(accumulate(range(1, 2001), math.lcm, initial=1))
+    ks = list(range(2001))
+    random.Random(12).shuffle(ks)
+    ks[:0] = [1, 0]
+    for i, k in enumerate(ks):
+        if i == len(ks) // 2:
+            primes_upto(5000)
+        assert numtheory._cached_lcm_upto(k) == expected[k], k
+    assert numtheory._cached_lcm_upto(2000) == math.lcm(*range(1, 2001))
 
 
 def test_valuation():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -95,6 +96,7 @@ def test_period_report_identities_hold_across_sweep():
         removed = _product_tree(q**e for q, e in report.removed_primes)
         assert report.value * report.exceptional * removed == lcm_upto(k).value
         assert _product_tree(report.per_prime.values()) == report.value
+        assert report.value == report.closed_form.value
 
 
 def test_report_lcm_upto_matches_lcm_upto():
@@ -106,6 +108,35 @@ def test_report_lcm_upto_matches_lcm_upto():
     # The sweep meets both primes that drop out of the period.
     assert any(r.removed_primes for r in reports)
     assert any(r.exceptional_prime is not None for r in reports)
+
+
+def test_period_is_checked_against_the_cached_lcm(monkeypatch):
+    # lcm(1..10) = 2520 and a = 6 removes 2^3 * 3^2 = 72; half of 2520 is
+    # no multiple of 72, so the division leaves a remainder.
+    monkeypatch.setattr(
+        "aplcm.period._cached_lcm_upto", lambda k: lcm_upto(k).value // 2
+    )
+    with pytest.raises(SelfCheckError):
+        smallest_period(Progression(6, 1), 10)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int/str digit limit",
+)
+def test_reprs_of_large_results_convert_no_big_integer():
+    # At k = 10^4 the period and lcm(1..k) have over 4300 digits, the
+    # interpreter's default limit for converting an int to decimal.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = smallest_period(Progression(1, 0), 10**4)
+        factored = lcm_upto(10**4)
+        assert factored.value == report.lcm_upto > 10**4300
+        for obj in (report, report.closed_form, factored):
+            assert repr(obj).startswith(type(obj).__name__)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 ROW_PAIRS = ((1, 0), (7, 3), (6, 4), (35, 12), (30, 1), (12, 18))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from types import SimpleNamespace
 
@@ -49,6 +50,8 @@ INJECTED_FAULTS = [
      {"k", "a", "b"}),
     ("exceptional-prime", "exceptional_factor", _raise_self_check, {"k"}),
     ("integer-basics", "integer_log", lambda p, k: 0, {"check", "p", "k"}),
+    pytest.param("integer-basics", "_cached_lcm_upto", lambda k: 0,
+                 {"check", "k"}, id="integer-basics-cached-lcm"),
     # A constant ratio has equal valuations at the witness and half a
     # period later, which the suite's re-check must report.
     ("prime-period", "window_ratio", lambda prog, w: 1,
@@ -112,7 +115,7 @@ def test_jobs_are_capped_by_the_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     capped = run_suite("integer-basics", jobs=10**6)
     serial = run_suite("integer-basics", jobs=1)
     assert recorded == [2]
