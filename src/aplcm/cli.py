@@ -27,8 +27,8 @@ from .gfun import (
     Progression,
     Window,
     _counted_valuation,
+    _ratios,
     ratio_valuation_by_counting,
-    window_ratio,
     window_terms,
 )
 from .identities import (
@@ -190,15 +190,16 @@ def cmd_g(args):
     lo, hi = _parse_index_range(args.n)
     work = (hi - lo + 1) * (args.k + 1)
     require_budget(work, resolve_budget(None), "the --n range")
+    first = Window(lo, args.k)  # checks lo and k for the whole range
     if args.p is not None:
         # One validated call checks p and prog for the whole range.
-        ratio_valuation_by_counting(args.p, prog, Window(lo, args.k))
+        ratio_valuation_by_counting(args.p, prog, first)
         values = [
             _counted_valuation(args.p, args.a, args.b, n, args.k)
             for n in range(lo, hi + 1)
         ]
     else:
-        values = [window_ratio(prog, Window(n, args.k)) for n in range(lo, hi + 1)]
+        values = _ratios(args.a, args.b, args.k, lo, hi - lo + 1)
     return values, values, None
 
 

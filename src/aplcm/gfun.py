@@ -15,6 +15,7 @@ inside the window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +98,46 @@ def _ratio(a: int, b: int, n: int, k: int) -> int:
     first = b + n * a
     terms = tuple(range(first, first + (k + 1) * a, a))
     return math.prod(terms) // math.lcm(*terms)
+
+
+def _ratios(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
+    """_ratio at n_lo, ..., n_lo + count - 1, unvalidated.
+
+    The van Herk / Gil-Werman sliding window: cut the count + k terms
+    into blocks of w = k + 1. The window at offset r of block j is the
+    suffix of block j from r joined with the prefix of block j + 1 that
+    stops before r, so after one suffix scan and one prefix scan per
+    block each window costs one lcm and one product of two parts.
+    Column r = terms[r::w] holds term r of every block; each scan step
+    maps over all blocks at once.
+    """
+    w = k + 1
+    first = b + n_lo * a
+    terms = range(first, first + (count + k) * a, a)
+    cols = [terms[r::w] for r in range(w)]
+    # The lcm (product) of terms r..k of every block, built from r = k
+    # down and popped from r = 0 up, so each list is freed once used.
+    suf_lcm, suf_prod = [cols[k]], [cols[k]]
+    for col in reversed(cols[:k]):
+        suf_lcm.append(list(map(math.lcm, col, suf_lcm[-1])))
+        suf_prod.append(list(map(operator.mul, col, suf_prod[-1])))
+    out = [0] * count
+    # Offset 0 is a whole block; an offset r > 0 window also needs the
+    # prefix of the next block, terms 0..r-1, kept in pre_lcm/pre_prod.
+    # map stops at its shortest input, which for these column lengths
+    # is exactly the length of out[r::w].
+    out[0::w] = map(operator.floordiv, suf_prod.pop(), suf_lcm.pop())
+    pre_lcm = pre_prod = cols[0][1:]
+    for r in range(1, w):
+        out[r::w] = map(
+            operator.floordiv,
+            map(operator.mul, suf_prod.pop(), pre_prod),
+            map(math.lcm, suf_lcm.pop(), pre_lcm),
+        )
+        if r < k:
+            pre_lcm = list(map(math.lcm, pre_lcm, cols[r][1:]))
+            pre_prod = list(map(operator.mul, pre_prod, cols[r][1:]))
+    return out
 
 
 def window_terms(prog: Progression, w: Window) -> list[int]:

@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, require_budget
-from .gfun import Progression, Window, _ratio, _terms
+from .gfun import Progression, Window, _ratio, _ratios, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
@@ -246,10 +246,9 @@ def build_period_table(
     period = smallest_period(prog, k).value
     what = f"the table of a period of {period.bit_length()} bits for k={k}"
     require_budget(period * (k + 1), budget, what)
-    a, b = prog.a, prog.b
+    values = _ratios(prog.a, prog.b, k, 1, period)
     # n = period stands in for residue 0 (n = 0 would give a zero term).
-    values = [_ratio(a, b, n, k) for n in (period, *range(1, period))]
-    return PeriodTable(prog, k, period, tuple(values))
+    return PeriodTable(prog, k, period, (values[-1], *values[:-1]))
 
 
 def fast_lcm(table: PeriodTable, n: int) -> int:

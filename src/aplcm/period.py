@@ -27,7 +27,7 @@ from .gfun import (
     Progression,
     Window,
     _counted_valuation,
-    _ratio,
+    _ratios,
     _require_reduced,
     ratio_valuation_by_counting,
 )
@@ -232,8 +232,7 @@ def smallest_period_bruteforce(
         big_l * (k + 1) * divisor_count, budget, f"full-period search for k={k}"
     )
     divisors = lf.divisors()
-    a, b = prog.a, prog.b
-    ratios = [_ratio(a, b, n, k) for n in range(1, 2 * big_l + 1)]
+    ratios = _ratios(prog.a, prog.b, k, 1, 2 * big_l)
     # ratios[n - 1] is the ratio at n; t is a period iff the ratios at
     # n + t equal those at n for every n in 1..L.
     for t in divisors:

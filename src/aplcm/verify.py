@@ -22,6 +22,8 @@ from .errors import SelfCheckError
 from .gfun import (
     Progression,
     Window,
+    _counted_valuation,
+    _ratios,
     count_multiples,
     count_multiples_naive,
     ratio_valuation_by_counting,
@@ -205,12 +207,13 @@ def _check_exceptional(k):
 def _check_valuation(k, a, b):
     prog = Progression(a, b)
     primes = primes_upto(k)
-    for n in range(1, 201):
-        w = Window(n, k)
-        ratio = window_ratio(prog, w)
+    for p in primes:
+        # One validated call checks p and prog for every n below.
+        ratio_valuation_by_counting(p, prog, Window(1, k))
+    for n, ratio in enumerate(_ratios(a, b, k, 1, 200), 1):
         for p in primes:
             direct = valuation(p, ratio)
-            counted = ratio_valuation_by_counting(p, prog, w)
+            counted = _counted_valuation(p, a, b, n, k)
             if direct != counted:
                 yield FailureRecord(
                     {"k": k, "a": a, "b": b, "p": p, "n": n}, direct, counted
@@ -315,25 +318,23 @@ def _fast_lcm_cases(budget):
 def _check_window_bound(k, a, b):
     prog = Progression(a, b)
     kfact = math.factorial(k)
-    reduced = prog.is_reduced
+    # Only reduced progressions have ratios dividing k!.
+    ratios = _ratios(a, b, k, 1, 200) if prog.is_reduced else None
     for n in range(1, 201):
-        w = Window(n, k)
-        report = check_window_divisibility(prog, w)
+        report = check_window_divisibility(prog, Window(n, k))
         if not report.holds:
             yield FailureRecord(
                 {"check": "window-bound", "k": k, "a": a, "b": b, "n": n},
                 "product divides bound",
                 f"{report.product} does not divide {report.bound}",
             )
-        if reduced:
-            ratio = window_ratio(prog, w)
-            if kfact % ratio != 0:
-                yield FailureRecord(
-                    {"check": "ratio-divides-factorial",
-                     "k": k, "a": a, "b": b, "n": n},
-                    f"divisor of {kfact}",
-                    ratio,
-                )
+        if ratios is not None and kfact % ratios[n - 1] != 0:
+            yield FailureRecord(
+                {"check": "ratio-divides-factorial",
+                 "k": k, "a": a, "b": b, "n": n},
+                f"divisor of {kfact}",
+                ratios[n - 1],
+            )
 
 
 def _check_lcm_bounds(n, k):
@@ -380,22 +381,21 @@ def _check_gcd_transfer(k, a, b):
 
 
 def _check_periodicity(k, a, b):
-    prog = Progression(a, b)
     shift = lcm_upto(k).value
-    for n in range(1, 101):
-        at_n = window_ratio(prog, Window(n, k))
-        shifted = window_ratio(prog, Window(n + shift, k))
+    base = _ratios(a, b, k, 1, 100)
+    moved = _ratios(a, b, k, 1 + shift, 100)
+    for n, at_n, shifted in zip(range(1, 101), base, moved):
         if at_n != shifted:
             yield FailureRecord({"k": k, "a": a, "b": b, "n": n}, at_n, shifted)
 
 
 def _check_ratio_scaling(k, a, b):
     prog = Progression(a, b)
-    reduced = prog.reduced()
-    d = prog.d
-    for n in range(1, 101):
-        whole = window_ratio(prog, Window(n, k))
-        scaled = d**k * window_ratio(reduced, Window(n, k))
+    scale = prog.d**k
+    wholes = _ratios(a, b, k, 1, 100)
+    parts = _ratios(prog.a_reduced, prog.b_reduced, k, 1, 100)
+    for n, whole, part in zip(range(1, 101), wholes, parts):
+        scaled = scale * part
         if whole != scaled:
             yield FailureRecord(
                 {"check": "ratio-scaling", "k": k, "a": a, "b": b, "n": n},

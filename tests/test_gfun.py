@@ -7,6 +7,8 @@ import pytest
 from aplcm.gfun import (
     Progression,
     Window,
+    _ratio,
+    _ratios,
     count_multiples,
     count_multiples_naive,
     ratio_valuation_by_counting,
@@ -182,6 +184,26 @@ def test_window_kernel_matches_the_definition():
                     assert window_terms(prog, w) == explicit
                     assert window_ratio(prog, w) == \
                         math.prod(explicit) // math.lcm(*explicit)
+
+
+# Every a, b <= 10 meets every k, start and short count. The long
+# counts, whose reference loop would take about 100 s CPU over all 110
+# pairs, use consecutive integers, a reduced and an unreduced pair.
+KERNEL_PAIRS = [(1, 0), (7, 10), (10, 10)]
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_range_kernel_matches_the_window_ratio(k):
+    for n_lo in (1, 3, 10**9, 10**60):
+        for a in range(1, 11):
+            for b in range(11):
+                want = [_ratio(a, b, n, k) for n in range(n_lo, n_lo + k + 2)]
+                for count in (0, 1, k, k + 1, k + 2):
+                    assert _ratios(a, b, k, n_lo, count) == want[:count]
+        for a, b in KERNEL_PAIRS:
+            want = [_ratio(a, b, n, k) for n in range(n_lo, n_lo + 1680)]
+            for count in (300, 1680):
+                assert _ratios(a, b, k, n_lo, count) == want[:count]
 
 
 def test_counting_valuation_is_the_sum_of_excess_multiples():

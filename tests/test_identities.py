@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -234,6 +235,18 @@ def test_table_roundtrip_is_bit_exact(tmp_path):
     second = tmp_path / "again.txt"
     save_period_table(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("a, b, k, digest", [
+    (1, 0, 10, "c092fafa14de7ad306ae251f471d18fa37616ab23f64c7735918f6dd13afb901"),
+    (7, 3, 8, "5fe8e68ba91cb7bb0f4971693122a5c953ab74a4f67c661776afeb1ed0f83dcc"),
+])
+def test_saved_table_bytes_are_pinned(tmp_path, a, b, k, digest):
+    # SHA-256 of the files written when each entry was its own window
+    # ratio, index 0 the one at n = period.
+    path = tmp_path / "table.txt"
+    save_period_table(build_period_table(Progression(a, b), k), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_table_load_rejects_malformed_files(tmp_path):

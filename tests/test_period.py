@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from aplcm import numtheory
+from aplcm import numtheory, period
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import (
     Progression,
@@ -170,6 +170,24 @@ def test_bruteforce_small_examples():
     values = [window_ratio(Progression(1, 0), Window(n, 3)) for n in range(1, 7)]
     assert values == [2, 2, 6, 2, 2, 6]
     assert smallest_period_bruteforce(Progression(1, 0), 3) == 3
+
+
+def test_bruteforce_asks_the_kernel_for_two_full_spans(monkeypatch):
+    # The search compares the ratios at 1..L with those at t+1..t+L for
+    # every divisor t of L = lcm(1..k), so it needs exactly 2L windows.
+    requested = []
+    kernel = period._ratios
+
+    def counting(a, b, k, n_lo, count):
+        requested.append(count)
+        return kernel(a, b, k, n_lo, count)
+
+    monkeypatch.setattr(period, "_ratios", counting)
+    for k in range(9):
+        for a, b in ((1, 0), (3, 2), (6, 4)):
+            requested.clear()
+            smallest_period_bruteforce(Progression(a, b), k)
+            assert sum(requested) == 2 * lcm_upto(k).value
 
 
 def test_bruteforce_budget_guard():

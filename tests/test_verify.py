@@ -57,6 +57,10 @@ INJECTED_FAULTS = [
     ("prime-period", "window_ratio", lambda prog, w: 1,
      {"k", "a", "b", "p", "n0"}),
     ("fast-lcm", "fast_lcm", _raise_self_check, {"k", "a", "b", "n"}),
+    # Each range then holds its own start, so the base and shifted
+    # windows differ at every n.
+    ("periodicity", "_ratios", lambda a, b, k, n_lo, count: [n_lo] * count,
+     {"k", "a", "b", "n"}),
     # A closed form whose per-prime table lists no prime disagrees with
     # every search that finds a period above 1.
     pytest.param("prime-period", "smallest_period",
