@@ -100,8 +100,34 @@ def _ratio(a: int, b: int, n: int, k: int) -> int:
     return math.prod(terms) // math.lcm(*terms)
 
 
+# Bytes that one _ratio_scan call may keep in its suffix lists.
+_SCAN_BYTES = 1 << 24
+
+
 def _ratios(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
     """_ratio at n_lo, ..., n_lo + count - 1, unvalidated.
+
+    Ranges run _ratio_scan over chunks of whole blocks whose suffix
+    lists fit in about _SCAN_BYTES, so a chunk holds at most twice that.
+    A block too big for it, or a range too short to repay the scan's
+    set-up (about as dear as sixteen windows for k <= 12), goes window
+    by window, which holds only one window's terms at a time.
+    """
+    w = k + 1
+    bits = (b + (n_lo + count + k) * a).bit_length()
+    # A block's suffix lcms and products: 2w ints of up to w * bits bits.
+    blocks = _SCAN_BYTES // (w * (w * bits // 8 + 80))
+    if count < 16 or not blocks:
+        return [_ratio(a, b, n, k) for n in range(n_lo, n_lo + count)]
+    step = blocks * w
+    out = []
+    for lo in range(n_lo, n_lo + count, step):
+        out += _ratio_scan(a, b, k, lo, min(step, n_lo + count - lo))
+    return out
+
+
+def _ratio_scan(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
+    """_ratios in one pass, holding every block's suffix lists at once.
 
     The van Herk / Gil-Werman sliding window: cut the count + k terms
     into blocks of w = k + 1. The window at offset r of block j is the

@@ -1,13 +1,16 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
+from aplcm import gfun
 from aplcm.gfun import (
     Progression,
     Window,
     _ratio,
+    _ratio_scan,
     _ratios,
     count_multiples,
     count_multiples_naive,
@@ -200,10 +203,45 @@ def test_range_kernel_matches_the_window_ratio(k):
                 want = [_ratio(a, b, n, k) for n in range(n_lo, n_lo + k + 2)]
                 for count in (0, 1, k, k + 1, k + 2):
                     assert _ratios(a, b, k, n_lo, count) == want[:count]
+                    assert _ratio_scan(a, b, k, n_lo, count) == want[:count]
         for a, b in KERNEL_PAIRS:
             want = [_ratio(a, b, n, k) for n in range(n_lo, n_lo + 1680)]
             for count in (300, 1680):
                 assert _ratios(a, b, k, n_lo, count) == want[:count]
+
+
+@pytest.mark.parametrize("scan_bytes", [0, 1500, 4000, 10**4])
+def test_range_kernel_chunks_agree(monkeypatch, scan_bytes):
+    # From no block per chunk (window by window) to several, with short
+    # last chunks.
+    monkeypatch.setattr(gfun, "_SCAN_BYTES", scan_bytes)
+    for k in (1, 4, 7):
+        for a, b in KERNEL_PAIRS:
+            want = [_ratio(a, b, n, k) for n in range(5, 305)]
+            for count in (16, k + 17, 100, 300):
+                assert _ratios(a, b, k, 5, count) == want[:count]
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_range_kernel_memory_is_bounded(monkeypatch):
+    scan_bytes = 1 << 20
+    monkeypatch.setattr(gfun, "_SCAN_BYTES", scan_bytes)
+    # Too few windows for a scan go one by one: memory linear in k,
+    # where a scan would hold about k**2 / 2 terms of suffix products.
+    assert _peak_bytes(_ratios, 1, 0, 300, 1, 7) < 100 * 301
+    # So do windows whose block is too big for _SCAN_BYTES.
+    assert _peak_bytes(_ratios, 1, 0, 3000, 1, 8) < 100 * 3001
+    # Long ranges run in chunks: at n = 10**30 one scan over all 5000
+    # windows would hold about 7 MB, each chunk about 1 MB.
+    assert _peak_bytes(_ratios, 1, 0, 100, 10**30, 5000) < 3 * scan_bytes
 
 
 def test_counting_valuation_is_the_sum_of_excess_multiples():
