@@ -212,6 +212,19 @@ def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
     return total
 
 
+def _count_multiples(pe: int, a: int, b: int, n: int, k: int) -> int:
+    """count_multiples without validation; pe = p**e, a and b coprime."""
+    if math.gcd(a, pe) != 1:
+        return 0
+    r = _first_multiple(pe, a, b, n)
+    return (k - r) // pe + 1 if r <= k else 0
+
+
+def _count_multiples_naive(pe: int, a: int, b: int, n: int, k: int) -> int:
+    """count_multiples_naive without validation."""
+    return sum(1 for t in _terms(a, b, n, k) if t % pe == 0)
+
+
 def _check_count_args(p: int, e: int, prog: Progression) -> None:
     _require_reduced(prog)
     require_prime(p)
@@ -229,20 +242,13 @@ def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
     no term divisible by p at all.
     """
     _check_count_args(p, e, prog)
-    if prog.a % p == 0:
-        return 0
-    pe = p**e
-    r = _first_multiple(pe, prog.a, prog.b, w.n)
-    if r > w.k:
-        return 0
-    return (w.k - r) // pe + 1
+    return _count_multiples(p**e, prog.a, prog.b, w.n, w.k)
 
 
 def count_multiples_naive(p: int, e: int, prog: Progression, w: Window) -> int:
     """Same count by scanning every term; the oracle for count_multiples."""
     _check_count_args(p, e, prog)
-    pe = p**e
-    return sum(1 for t in _terms(prog.a, prog.b, w.n, w.k) if t % pe == 0)
+    return _count_multiples_naive(p**e, prog.a, prog.b, w.n, w.k)
 
 
 def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:

@@ -223,6 +223,11 @@ def valuation(p: int, x: int) -> int:
     require_prime(p)
     if x < 1:
         raise ValueError(f"valuation requires x >= 1, got {x}")
+    return _valuation(p, x)
+
+
+def _valuation(p: int, x: int) -> int:
+    """valuation without validation (p prime, x >= 1)."""
     s = 0
     while x % p == 0:
         x //= p

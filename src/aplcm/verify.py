@@ -22,10 +22,11 @@ from .errors import SelfCheckError
 from .gfun import (
     Progression,
     Window,
+    _count_multiples,
+    _count_multiples_naive,
     _counted_valuation,
     _ratios,
     count_multiples,
-    count_multiples_naive,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
@@ -35,12 +36,12 @@ from .identities import (
     check_gcd_transfer,
     check_lcm_bounds,
     check_ratio_recursion,
-    check_window_divisibility,
     fast_lcm,
     lcm_by_inclusion_exclusion,
 )
 from .numtheory import (
     _cached_lcm_upto,
+    _valuation,
     integer_log,
     lcm_upto,
     primes_upto,
@@ -212,7 +213,7 @@ def _check_valuation(k, a, b):
         ratio_valuation_by_counting(p, prog, Window(1, k))
     for n, ratio in enumerate(_ratios(a, b, k, 1, 200), 1):
         for p in primes:
-            direct = valuation(p, ratio)
+            direct = _valuation(p, ratio)
             counted = _counted_valuation(p, a, b, n, k)
             if direct != counted:
                 yield FailureRecord(
@@ -221,18 +222,19 @@ def _check_valuation(k, a, b):
 
 
 def _check_window_counts(p, a, b):
-    prog = Progression(a, b)
+    # One validated call checks p and prog for every count below.
+    count_multiples(p, 1, Progression(a, b), Window(1, 1))
     for k in range(1, 8):
         max_exp = integer_log(p, k) if p <= k else 0
-        windows = [Window(n, k) for n in range(1, 61)]
         for e in range(1, 5):
-            for w in windows:
-                fast = count_multiples(p, e, prog, w)
-                slow = count_multiples_naive(p, e, prog, w)
+            pe = p**e
+            for n in range(1, 61):
+                fast = _count_multiples(pe, a, b, n, k)
+                slow = _count_multiples_naive(pe, a, b, n, k)
                 if fast != slow:
                     yield FailureRecord(
                         {"check": "count", "p": p, "e": e,
-                         "a": a, "b": b, "k": k, "n": w.n},
+                         "a": a, "b": b, "k": k, "n": n},
                         slow,
                         fast,
                     )
@@ -240,14 +242,14 @@ def _check_window_counts(p, a, b):
                     if e > max_exp and fast > 1:
                         yield FailureRecord(
                             {"check": "above-threshold", "p": p, "e": e,
-                             "a": a, "b": b, "k": k, "n": w.n},
+                             "a": a, "b": b, "k": k, "n": n},
                             "at most 1",
                             fast,
                         )
                     if e <= max_exp and fast < 1:
                         yield FailureRecord(
                             {"check": "below-threshold", "p": p, "e": e,
-                             "a": a, "b": b, "k": k, "n": w.n},
+                             "a": a, "b": b, "k": k, "n": n},
                             "at least 1",
                             fast,
                         )
@@ -316,24 +318,25 @@ def _fast_lcm_cases(budget):
 # --- divisibility -------------------------------------------------------
 
 def _check_window_bound(k, a, b):
-    prog = Progression(a, b)
+    d = Progression(a, b).d
     kfact = math.factorial(k)
-    # Only reduced progressions have ratios dividing k!.
-    ratios = _ratios(a, b, k, 1, 200) if prog.is_reduced else None
-    for n in range(1, 201):
-        report = check_window_divisibility(prog, Window(n, k))
-        if not report.holds:
+    # product = lcm * ratio and gcd(t0, t1) = d at every n, so product
+    # divides lcm * k! * gcd(t0, t1)**k iff ratio divides k! * d**k.
+    bound = kfact * d**k
+    for n, ratio in enumerate(_ratios(a, b, k, 1, 200), 1):
+        if bound % ratio != 0:
             yield FailureRecord(
                 {"check": "window-bound", "k": k, "a": a, "b": b, "n": n},
-                "product divides bound",
-                f"{report.product} does not divide {report.bound}",
+                "ratio divides k! * gcd(t0, t1)**k",
+                f"{ratio} does not divide {bound}",
             )
-        if ratios is not None and kfact % ratios[n - 1] != 0:
+        # Only reduced progressions have ratios dividing k!.
+        if d == 1 and kfact % ratio != 0:
             yield FailureRecord(
                 {"check": "ratio-divides-factorial",
                  "k": k, "a": a, "b": b, "n": n},
                 f"divisor of {kfact}",
-                ratios[n - 1],
+                ratio,
             )
 
 

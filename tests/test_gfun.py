@@ -92,6 +92,8 @@ def test_count_multiples_examples():
 
 
 def test_count_multiples_matches_naive_scan():
+    # p divides a in some pairs, and p**e runs past every k. The private
+    # kernels that verify calls agree with the public counts.
     for p in (2, 3, 5):
         for a, b in coprime_pairs(5, 5):
             prog = Progression(a, b)
@@ -99,8 +101,10 @@ def test_count_multiples_matches_naive_scan():
                 for k in range(8):
                     for n in range(1, 61):
                         w = Window(n, k)
-                        assert count_multiples(p, e, prog, w) == \
-                            count_multiples_naive(p, e, prog, w)
+                        fast = count_multiples(p, e, prog, w)
+                        assert fast == count_multiples_naive(p, e, prog, w)
+                        assert fast == gfun._count_multiples(p**e, a, b, n, k)
+                        assert fast == gfun._count_multiples_naive(p**e, a, b, n, k)
 
 
 def test_ratio_valuation_by_counting_examples():

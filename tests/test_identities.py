@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from aplcm.errors import BudgetExceededError, SelfCheckError
-from aplcm.gfun import Progression, Window, window_ratio, window_terms
+from aplcm.gfun import Progression, Window, _ratio, window_ratio, window_terms
 from aplcm.identities import (
     PeriodTable,
     _adjusted_ratio,
@@ -134,12 +134,29 @@ def test_window_divisibility_examples():
 
 
 def test_window_divisibility_sweep_includes_unreduced():
-    for k in range(6):
+    # The verify suite checks the ratio form: product = lcm * ratio and
+    # gcd(t0, t1) = gcd(a, b), so the product divides lcm * B iff the
+    # ratio divides B. B runs over the bound k! * gcd(t0, t1)**k and its
+    # quotients by small primes, so the forms also agree where B fails.
+    for k in range(9):
+        kfact = math.factorial(k)
         for a in range(1, 7):
             for b in range(7):
                 prog = Progression(a, b)
-                for n in range(1, 41):
-                    assert check_window_divisibility(prog, Window(n, k)).holds
+                for n in range(1, 51):
+                    terms = window_terms(prog, Window(n, k))
+                    d01 = math.gcd(terms[0], terms[0] + a)
+                    assert d01 == math.gcd(a, b)
+                    bound = kfact * d01**k
+                    ratio = _ratio(a, b, n, k)
+                    report = check_window_divisibility(prog, Window(n, k))
+                    assert report.holds and bound % ratio == 0
+                    lcm = math.lcm(*terms)
+                    for q in (2, 3, 5, 7):
+                        if bound % q == 0:
+                            cut = bound // q
+                            assert (lcm * cut % report.product == 0) == \
+                                (cut % ratio == 0)
 
 
 def test_ratio_recursion_examples():

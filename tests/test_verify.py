@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from aplcm import verify
+from aplcm import gfun, verify
 from aplcm.errors import SelfCheckError
 from aplcm.numtheory import integer_log, primes_upto
 from aplcm.verify import available_suites, run_suite
@@ -40,6 +40,18 @@ def _raise_self_check(*args):
     raise SelfCheckError("injected fault")
 
 
+# Raw kernels that run after a suite's one validated call per case. Each
+# fake is wrong at the first window of a case only, which keeps the
+# report small.
+def _bad_first_ratio(a, b, k, n_lo, count):
+    # A prime above 10**9 divides no bound k! * gcd(a, b)**k for k <= 8.
+    return [1_000_000_007] + [1] * (count - 1)
+
+
+def _count_off_by_one_at_first_window(pe, a, b, n, k):
+    return gfun._count_multiples(pe, a, b, n, k) + (n == 1)
+
+
 # For each cheap suite, one callee in the verify namespace that is made
 # to return a wrong value or raise, and the keys every failure it causes
 # must name.
@@ -61,6 +73,9 @@ INJECTED_FAULTS = [
     # windows differ at every n.
     ("periodicity", "_ratios", lambda a, b, k, n_lo, count: [n_lo] * count,
      {"k", "a", "b", "n"}),
+    ("divisibility", "_ratios", _bad_first_ratio, {"check", "k", "a", "b", "n"}),
+    ("window-counts", "_count_multiples", _count_off_by_one_at_first_window,
+     {"check", "p", "e", "a", "b", "k", "n"}),
     # A closed form whose per-prime table lists no prime disagrees with
     # every search that finds a period above 1.
     pytest.param("prime-period", "smallest_period",
@@ -87,6 +102,17 @@ def test_suite_reports_an_injected_fault(monkeypatch, name, callee, fake, keys):
     assert report.cases_run == cases_run
     for failure in report.failures:
         assert keys <= failure.inputs.keys(), failure
+
+
+def test_raw_kernel_faults_name_their_checks(monkeypatch):
+    monkeypatch.setattr(verify, "_ratios", _bad_first_ratio)
+    monkeypatch.setattr(verify, "_count_multiples", _count_off_by_one_at_first_window)
+    checks = {
+        failure.inputs["check"]
+        for name in ("divisibility", "window-counts")
+        for failure in run_suite(name).failures
+    }
+    assert {"window-bound", "count"} <= checks
 
 
 @pytest.mark.parametrize(
