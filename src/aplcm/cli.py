@@ -295,7 +295,8 @@ def cmd_table(args):
 def _report_lines(reports):
     for report in reports:
         status = "ok  " if report.passed else "FAIL"
-        tail = "" if report.passed else f"   {len(report.failures)} failures"
+        total = len(report.failures) + report.failures_dropped
+        tail = "" if report.passed else f"   {total} failures"
         yield (
             f"{status} {report.suite:<24} {report.cases_run:>8} cases"
             f"   {report.elapsed:.2f}s{tail}"
@@ -303,7 +304,7 @@ def _report_lines(reports):
         for failure in report.failures[:MAX_FAILURES_SHOWN]:
             rendered = " ".join(f"{k}={v}" for k, v in failure.inputs.items())
             yield f"     {rendered}: expected {failure.expected}, got {failure.actual}"
-        hidden = len(report.failures) - MAX_FAILURES_SHOWN
+        hidden = total - MAX_FAILURES_SHOWN
         if hidden > 0:
             yield f"     ... and {hidden} more"
 
@@ -332,6 +333,10 @@ def cmd_verify(args):
                 }
                 for f in r.failures
             ],
+            # Only a suite that dropped records says so: a passing run's
+            # output stays as it was.
+            **({"failures_dropped": r.failures_dropped}
+               if r.failures_dropped else {}),
             "elapsed_s": round(r.elapsed, 3),
             "passed": r.passed,
         }

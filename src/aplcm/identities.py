@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, require_budget
@@ -38,12 +38,16 @@ MAX_INCLUSION_EXCLUSION_LEN = 20
 def lcm_by_inclusion_exclusion(xs) -> int:
     """lcm via the alternating product of gcds over all subsets:
 
-        lcm(x_1..x_n) = prod(x_i) * prod over subsets S, |S| >= 2 of
+        lcm(x_1..x_n) = prod over nonempty subsets S of
                         gcd(S) ** (+1 if |S| odd else -1)
 
-    Evaluated by accumulating signed exponents per prime (subset gcds
-    are tallied by value and factorized once each); the alternating
-    product as literal rationals would blow up long before n = 20.
+    The singletons give prod(x_i). Subsets are tallied by gcd, not walked
+    one by one: entry x adds {x} with sign +1 and, for each gcd g tallied
+    before it, the subsets S + {x} at gcd(g, x) with the opposite sign.
+    Each distinct gcd is then factorized once into signed exponents per
+    prime; the alternating product as literal rationals would blow up
+    long before n = 20. The cap of 20 stays: x_i = P / p_i, P the product
+    of the first n primes, gives each of the 2**n - 1 subsets its own gcd.
     """
     xs = list(xs)
     n = len(xs)
@@ -54,29 +58,19 @@ def lcm_by_inclusion_exclusion(xs) -> int:
             f"{n} entries means 2**{n} subsets; the cap is "
             f"{MAX_INCLUSION_EXCLUSION_LEN}"
         )
-    if any(x < 1 for x in xs):
+    if min(xs) < 1:
         raise ValueError("entries must be positive")
 
-    exponents: dict[int, int] = {}
-    for x in xs:
-        for p, e in factorize(x).items():
-            exponents[p] = exponents.get(p, 0) + e
-
-    # gcd of every subset via the lowest-set-bit recurrence.
-    subset_gcd = [0] * (1 << n)
-    for i, x in enumerate(xs):
-        subset_gcd[1 << i] = x
     signed_count: dict[int, int] = {}
-    for mask in range(1, 1 << n):
-        bits = mask.bit_count()
-        if bits < 2:
-            continue
-        low = mask & -mask
-        g = math.gcd(subset_gcd[mask ^ low], subset_gcd[low])
-        subset_gcd[mask] = g
-        sign = 1 if bits % 2 == 1 else -1
-        signed_count[g] = signed_count.get(g, 0) + sign
+    for x in xs:
+        for g, c in list(signed_count.items()):
+            h = math.gcd(g, x)
+            # A subset with gcd 1 adds nothing, and neither do its supersets.
+            if h > 1:
+                signed_count[h] = signed_count.get(h, 0) - c
+        signed_count[x] = signed_count.get(x, 0) + 1
 
+    exponents: dict[int, int] = {}
     for value, count in signed_count.items():
         if count == 0 or value == 1:
             continue
@@ -111,7 +105,7 @@ def _adjusted_ratio(xs: list[int], t: int) -> Fraction:
     # denominator; the fraction is reduced once at the end.
     num, den = math.prod(xs), math.lcm(*xs)
     for r in range(2, t):
-        g = math.prod(math.gcd(*comb) for comb in combinations(xs, r))
+        g = math.prod(starmap(math.gcd, combinations(xs, r)))
         if r % 2 == 1:
             num *= g
         else:
@@ -128,12 +122,11 @@ def check_gcd_transfer(xs_a, xs_b, t: int) -> GcdTransferReport:
         raise ValueError(f"order t must be >= 2, got {t}")
     if n < t:
         raise ValueError(f"need at least t={t} entries, got {n}")
-    if any(x < 1 for x in xs_a + xs_b):
+    if min(xs_a + xs_b) < 1:
         raise ValueError("entries must be positive")
 
-    hypothesis = all(
-        math.gcd(*ca) == math.gcd(*cb)
-        for ca, cb in zip(combinations(xs_a, t), combinations(xs_b, t))
+    hypothesis = list(starmap(math.gcd, combinations(xs_a, t))) == list(
+        starmap(math.gcd, combinations(xs_b, t))
     )
     if not hypothesis:
         return GcdTransferReport(t, False, None, None, None)

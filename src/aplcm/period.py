@@ -220,8 +220,10 @@ def smallest_period_bruteforce(
     period, the gcd of two periods of a function on positive integers is
     again a period, so the smallest period divides L. Checking start
     indices 1..L covers every residue class, so the first surviving
-    divisor is the smallest period. Raises BudgetExceededError rather
-    than ever truncating the check.
+    divisor is the smallest period. Each t is checked inside the ratios
+    at 1..L first; only a t that passes there extends them to L + t for
+    the rest, so the search computes L + t ratios, t its answer. Raises
+    BudgetExceededError rather than ever truncating the check.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -231,13 +233,17 @@ def smallest_period_bruteforce(
     require_budget(
         big_l * (k + 1) * divisor_count, budget, f"full-period search for k={k}"
     )
-    divisors = lf.divisors()
-    ratios = _ratios(prog.a, prog.b, k, 1, 2 * big_l)
+    a, b = prog.a, prog.b
+    ratios = _ratios(a, b, k, 1, big_l)
     # ratios[n - 1] is the ratio at n; t is a period iff the ratios at
-    # n + t equal those at n for every n in 1..L.
-    for t in divisors:
-        if ratios[t : t + big_l] == ratios[:big_l]:
-            return t
+    # n + t equal those at n for every n in 1..L: first for n <= L - t,
+    # then for the rest, which reads the ratios past L.
+    for t in lf.divisors():
+        if ratios[t:big_l] == ratios[: big_l - t]:
+            # Candidates ascend, so this always adds at least one ratio.
+            ratios += _ratios(a, b, k, len(ratios) + 1, big_l + t - len(ratios))
+            if ratios[big_l : big_l + t] == ratios[big_l - t : big_l]:
+                return t
     raise SelfCheckError(
         f"no divisor of lcm(1..{k}) is a period for (a={prog.a}, b={prog.b})"
     )

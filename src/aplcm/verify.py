@@ -16,6 +16,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
 
 from .errors import SelfCheckError
@@ -65,6 +66,11 @@ __all__ = [
 
 SEED = 20260809
 
+# A report keeps the first failure records in case order, at most this
+# many; the rest are counted, not kept, so a fault that breaks every
+# window of a sweep still makes a report of bounded size.
+MAX_FAILURES_KEPT = 100
+
 # Values of the smallest period for the plain consecutive-integer
 # progression (a=1, b=0), k = 0..10, frozen after confirmation against
 # the brute-force searches below.
@@ -84,10 +90,11 @@ class VerificationReport:
     cases_run: int
     failures: list[FailureRecord]
     elapsed: float
+    failures_dropped: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.failures_dropped
 
 
 # Every checker is a generator that yields one FailureRecord per failed
@@ -538,9 +545,17 @@ def available_suites() -> list[str]:
     return list(SUITES)
 
 
-def _run_case(case):
-    checker, *args = case
-    return list(checker(*args))
+def _run_cases(cases) -> tuple[list[FailureRecord], int]:
+    """The first MAX_FAILURES_KEPT failure records of cases, in case
+    order, and the count of the others, which are dropped as they come.
+    """
+    kept, dropped = [], 0
+    for checker, *args in cases:
+        found = checker(*args)
+        kept += islice(found, MAX_FAILURES_KEPT - len(kept))
+        for _ in found:
+            dropped += 1
+    return kept, dropped
 
 
 def run_suite(
@@ -559,18 +574,26 @@ def run_suite(
     # The pool forks all its workers at once, so jobs alone must not size it.
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1 or len(cases) < 2:
-        results = list(map(_run_case, cases))
+        failures, dropped = _run_cases(cases)
     else:
         # Imported here: it pulls in multiprocessing, which a serial run
         # and the CLI's other subcommands never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(cases) // (workers * 8))
+        size = max(1, len(cases) // (workers * 8))
+        chunks = [cases[i : i + size] for i in range(0, len(cases), size)]
+        failures, dropped = [], 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases, chunksize=chunksize))
+            # Each chunk keeps its own first records; of those, the
+            # first in case order are the first of the whole suite.
+            for kept, rest in pool.map(_run_cases, chunks):
+                room = MAX_FAILURES_KEPT - len(failures)
+                failures += kept[:room]
+                dropped += rest + len(kept[room:])
     return VerificationReport(
         suite=name,
         cases_run=len(cases),
-        failures=[f for sub in results for f in sub],
+        failures=failures,
         elapsed=perf_counter() - start,
+        failures_dropped=dropped,
     )

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import aplcm
+from aplcm import verify
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
@@ -425,6 +426,7 @@ def test_verify_json_single_object(capsys):
     assert report["passed"] is True
     assert report["cases_run"] == "10001"  # every integer is a decimal string
     assert report["failures"] == []
+    assert "failures_dropped" not in report
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch):
@@ -444,7 +446,12 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     code, payload, err = run_json(capsys, "verify", "exceptional-prime", "--json")
     assert code == 1 and err == ""
     (report,) = payload["result"]
-    assert report["passed"] is False and len(report["failures"]) == 10001
+    # The report keeps the first records and counts the rest; the text
+    # summary above still shows the true total.
+    assert report["passed"] is False
+    assert len(report["failures"]) == verify.MAX_FAILURES_KEPT
+    assert int(report["failures_dropped"]) == 10001 - verify.MAX_FAILURES_KEPT
+    assert report["failures"][0]["inputs"] == {"k": "0"}
 
 
 def test_verify_budget_is_resolved_and_checked(capsys, monkeypatch):

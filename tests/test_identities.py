@@ -36,6 +36,28 @@ def test_inclusion_exclusion_matches_lcm_many():
         assert lcm_by_inclusion_exclusion(xs) == math.lcm(*xs)
 
 
+def test_inclusion_exclusion_matches_lcm_up_to_the_cap():
+    rng = random.Random(5)
+    small = [2, 2, 3, 4, 5, 6, 9, 12, 30]
+    for n in range(1, 21):
+        for _ in range(3):
+            # Entries up to 10**9 that share small factors, with 1s and
+            # repeats among them.
+            xs = [rng.choice(small) * rng.randint(1, 10**9 // 30)
+                  for _ in range(n)]
+            for i in rng.sample(range(n), n // 4):
+                xs[i] = rng.choice([1, xs[0]])
+            assert lcm_by_inclusion_exclusion(xs) == math.lcm(*xs), xs
+
+
+def test_inclusion_exclusion_when_every_subset_has_its_own_gcd():
+    # x_i = P / p_i: a subset's gcd is P over the product of its primes,
+    # so all 2**12 - 1 subsets have different gcds.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    big_p = math.prod(primes)
+    assert lcm_by_inclusion_exclusion([big_p // p for p in primes]) == big_p
+
+
 def test_inclusion_exclusion_input_guards():
     with pytest.raises(ValueError):
         lcm_by_inclusion_exclusion([])

@@ -172,9 +172,10 @@ def test_bruteforce_small_examples():
     assert smallest_period_bruteforce(Progression(1, 0), 3) == 3
 
 
-def test_bruteforce_asks_the_kernel_for_two_full_spans(monkeypatch):
+def test_bruteforce_asks_the_kernel_for_one_span_and_its_answer(monkeypatch):
     # The search compares the ratios at 1..L with those at t+1..t+L for
-    # every divisor t of L = lcm(1..k), so it needs exactly 2L windows.
+    # the divisors t of L = lcm(1..k) in turn, and reads no ratio past
+    # L + t for the t it returns: exactly L + t windows.
     requested = []
     kernel = period._ratios
 
@@ -186,8 +187,44 @@ def test_bruteforce_asks_the_kernel_for_two_full_spans(monkeypatch):
     for k in range(9):
         for a, b in ((1, 0), (3, 2), (6, 4)):
             requested.clear()
-            smallest_period_bruteforce(Progression(a, b), k)
-            assert sum(requested) == 2 * lcm_upto(k).value
+            t = smallest_period_bruteforce(Progression(a, b), k)
+            assert sum(requested) == lcm_upto(k).value + t
+
+
+def _corrupt_ratio_at(monkeypatch, bad_n):
+    """Make the kernel return 0, which no ratio equals, at start index bad_n."""
+    kernel = period._ratios
+
+    def corrupted(a, b, k, n_lo, count):
+        values = kernel(a, b, k, n_lo, count)
+        if n_lo <= bad_n < n_lo + count:
+            values[bad_n - n_lo] = 0
+        return values
+
+    monkeypatch.setattr(period, "_ratios", corrupted)
+
+
+# (k, L, t): the consecutive-integer progression with a period t below L.
+SHORT_PERIODS = [(3, 6, 3), (5, 60, 20), (7, 420, 105)]
+
+
+@pytest.mark.parametrize("k, big_l, t", SHORT_PERIODS)
+def test_bruteforce_reads_the_tail_its_answer_needs(monkeypatch, k, big_l, t):
+    assert smallest_period_bruteforce(Progression(1, 0), k) == t
+    # The ratio at L + t is compared only by the part of the check that
+    # reads past L; no divisor of L is a period of the corrupted sequence.
+    _corrupt_ratio_at(monkeypatch, big_l + t)
+    with pytest.raises(SelfCheckError, match="no divisor"):
+        smallest_period_bruteforce(Progression(1, 0), k)
+
+
+@pytest.mark.parametrize("k, big_l, t", SHORT_PERIODS)
+def test_bruteforce_checks_the_first_span(monkeypatch, k, big_l, t):
+    # The ratio at 1 is compared only inside the first span, with the
+    # ratio at 1 + t, never by the part of the check that reads past L.
+    _corrupt_ratio_at(monkeypatch, 1)
+    with pytest.raises(SelfCheckError, match="no divisor"):
+        smallest_period_bruteforce(Progression(1, 0), k)
 
 
 def test_bruteforce_budget_guard():

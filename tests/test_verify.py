@@ -1,11 +1,14 @@
 import concurrent.futures
+import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from aplcm import gfun, verify
 from aplcm.errors import SelfCheckError
+from aplcm.identities import GcdTransferReport
 from aplcm.numtheory import integer_log, primes_upto
 from aplcm.verify import available_suites, run_suite
 
@@ -74,6 +77,15 @@ INJECTED_FAULTS = [
     ("periodicity", "_ratios", lambda a, b, k, n_lo, count: [n_lo] * count,
      {"k", "a", "b", "n"}),
     ("divisibility", "_ratios", _bad_first_ratio, {"check", "k", "a", "b", "n"}),
+    # The product equals the lcm only for pairwise coprime entries.
+    ("inclusion-exclusion", "lcm_by_inclusion_exclusion", math.prod, {"xs"}),
+    ("gcd-transfer", "check_gcd_transfer",
+     lambda xs_a, xs_b, t: GcdTransferReport(t, False, None, None, None),
+     {"k", "a", "b", "n", "t"}),
+    ("period-closed-form", "smallest_period_bruteforce", lambda *a: 0,
+     {"k", "a", "b"}),
+    ("period-decomposition", "smallest_period_bruteforce", lambda *a: 0,
+     {"k", "a", "b"}),
     ("window-counts", "_count_multiples", _count_off_by_one_at_first_window,
      {"check", "p", "e", "a", "b", "k", "n"}),
     # A closed form whose per-prime table lists no prime disagrees with
@@ -118,13 +130,43 @@ def test_raw_kernel_faults_name_their_checks(monkeypatch):
 @pytest.mark.parametrize(
     "name",
     ["window-counts", "fast-lcm", "integer-basics", "odd-progression",
-     "consecutive-periods"],
+     "consecutive-periods", "inclusion-exclusion", "period-decomposition"],
 )
 def test_worker_count_does_not_change_results(name):
     serial = run_suite(name, jobs=1)
     parallel = run_suite(name, jobs=3)
     assert serial.cases_run == parallel.cases_run
     assert serial.failures == parallel.failures
+
+
+# The divisibility sweep has 9 values of k, 110 (a, b) pairs and 200
+# windows each. A window fails the bound, and in the 64 coprime pairs
+# also the k! check.
+EVERY_WINDOW_FAILS = 9 * (110 + 64) * 200
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_fault_in_every_window_keeps_a_bounded_report(monkeypatch, jobs):
+    # A prime above 10**9 divides no bound k! * gcd(a, b)**k for k <= 8.
+    monkeypatch.setattr(
+        verify, "_ratios", lambda a, b, k, n_lo, count: [1_000_000_007] * count
+    )
+    tracemalloc.start()
+    try:
+        report = run_suite("divisibility", jobs=jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    assert len(report.failures) == verify.MAX_FAILURES_KEPT
+    assert report.failures_dropped == EVERY_WINDOW_FAILS - verify.MAX_FAILURES_KEPT
+    # The kept records are the first in case order: k = 0, a = 1, b = 0.
+    first = report.failures[0].inputs
+    assert first == {"check": "window-bound", "k": 0, "a": 1, "b": 0, "n": 1}
+    assert report.failures[1].inputs["check"] == "ratio-divides-factorial"
+    # Keeping all 313 200 records peaks near 118 MB; with two workers
+    # the pool's pickled chunks take about 3.5 MB.
+    assert peak < 8_000_000, peak
 
 
 def test_jobs_are_capped_by_the_cpu_count(monkeypatch):
