@@ -8,7 +8,6 @@ from .gfun import (
     Progression,
     Window,
     count_multiples,
-    count_multiples_naive,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
@@ -19,7 +18,6 @@ from .identities import (
     check_gcd_transfer,
     check_lcm_bounds,
     check_ratio_recursion,
-    check_window_divisibility,
     fast_lcm,
     lcm_by_inclusion_exclusion,
     load_period_table,
@@ -65,10 +63,8 @@ __all__ = [
     "check_gcd_transfer",
     "check_lcm_bounds",
     "check_ratio_recursion",
-    "check_window_divisibility",
     "closed_form_period",
     "count_multiples",
-    "count_multiples_naive",
     "exceptional_factor",
     "factorize",
     "fast_lcm",

@@ -25,7 +25,6 @@ __all__ = [
     "Progression",
     "Window",
     "count_multiples",
-    "count_multiples_naive",
     "ratio_valuation_by_counting",
     "window_ratio",
     "window_terms",
@@ -221,15 +220,8 @@ def _count_multiples(pe: int, a: int, b: int, n: int, k: int) -> int:
 
 
 def _count_multiples_naive(pe: int, a: int, b: int, n: int, k: int) -> int:
-    """count_multiples_naive without validation."""
+    """count_multiples by scanning every term; its oracle, unvalidated."""
     return sum(1 for t in _terms(a, b, n, k) if t % pe == 0)
-
-
-def _check_count_args(p: int, e: int, prog: Progression) -> None:
-    _require_reduced(prog)
-    require_prime(p)
-    if e < 1:
-        raise ValueError(f"exponent e must be >= 1, got {e}")
 
 
 def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
@@ -241,14 +233,11 @@ def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
     [0, k]. Returns 0 when p divides a: a reduced progression then has
     no term divisible by p at all.
     """
-    _check_count_args(p, e, prog)
+    _require_reduced(prog)
+    require_prime(p)
+    if e < 1:
+        raise ValueError(f"exponent e must be >= 1, got {e}")
     return _count_multiples(p**e, prog.a, prog.b, w.n, w.k)
-
-
-def count_multiples_naive(p: int, e: int, prog: Progression, w: Window) -> int:
-    """Same count by scanning every term; the oracle for count_multiples."""
-    _check_count_args(p, e, prog)
-    return _count_multiples_naive(p**e, prog.a, prog.b, w.n, w.k)
 
 
 def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:

@@ -12,7 +12,7 @@ from itertools import combinations, starmap
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, require_budget
-from .gfun import Progression, Window, _ratio, _ratios, _terms
+from .gfun import Progression, _ratio, _ratios, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
@@ -20,12 +20,10 @@ __all__ = [
     "GcdTransferReport",
     "LcmBoundsReport",
     "PeriodTable",
-    "WindowDivisibilityReport",
     "build_period_table",
     "check_gcd_transfer",
     "check_lcm_bounds",
     "check_ratio_recursion",
-    "check_window_divisibility",
     "fast_lcm",
     "lcm_by_inclusion_exclusion",
     "load_period_table",
@@ -172,26 +170,6 @@ def check_lcm_bounds(n: int, k: int) -> LcmBoundsReport:
         lower_divides=lcm % lower == 0,
         divides_upper=upper % lcm == 0,
     )
-
-
-@dataclass(frozen=True)
-class WindowDivisibilityReport:
-    """Integer form of the window lower bound: the product of the k + 1
-    terms divides lcm(terms) * k! * gcd(t0, t1)**k.
-    """
-
-    product: int
-    bound: int
-    holds: bool
-
-
-def check_window_divisibility(prog: Progression, w: Window) -> WindowDivisibilityReport:
-    terms = _terms(prog.a, prog.b, w.n, w.k)
-    # t1 = t0 + a, also when k = 0 and the window holds t0 alone.
-    d01 = math.gcd(terms[0], terms[0] + prog.a)
-    product = math.prod(terms)
-    bound = math.lcm(*terms) * math.factorial(w.k) * d01**w.k
-    return WindowDivisibilityReport(product, bound, bound % product == 0)
 
 
 def check_ratio_recursion(k: int, n: int) -> bool:

@@ -6,10 +6,11 @@ leaves every pairwise gcd of window terms unchanged, hence the ratio
 too. The smallest period is lcm(1..k) with whole prime blocks taken
 out. With p**E the largest power of p not above k, the block p**E drops
 out when p divides the reduced difference, or when p is the single
-exceptional prime with p**E | k + 1; otherwise it is kept. One pass over
-the primes p <= k sorts them into these branches, and the period is
-lcm(1..k), from numtheory's shared product cache, divided by the blocks
-that drop out. The per-prime periods multiply to the smallest period.
+exceptional prime with p**E | k + 1; otherwise it is kept. Only the
+primes up to the reduced difference and the prime divisors of k + 1 are
+visited, and the period is lcm(1..k), from numtheory's shared product
+cache, divided by the blocks that drop out. The factorization over all
+primes p <= k, and the per-prime periods, are derived on first access.
 The brute-force searches below are independent of that pass and of the
 cache, and serve as their oracles.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -95,16 +95,16 @@ class PeriodReport:
     removed_primes lists (q, E) for primes q dividing the reduced
     difference, q <= k. value is the period and lcm_upto is lcm(1..k);
     both are left out of repr, whose int-to-str conversion could exceed
-    the interpreter's digit limit. per_prime maps every prime p <= k to
-    the period of the p-valuation of the ratio (1 where the prime drops
-    out); it is derived from closed_form on first access.
+    the interpreter's digit limit. closed_form factors the period over
+    the primes p <= k, and per_prime maps each p to the period of the
+    p-valuation of the ratio (1 where the prime drops out); both are
+    derived from the fields on first access.
     """
 
     k: int
     a: int
     b: int
     a_reduced: int
-    closed_form: FactoredInteger
     exceptional: int
     exceptional_prime: int | None
     removed_primes: list[tuple[int, int]]
@@ -112,9 +112,33 @@ class PeriodReport:
     lcm_upto: int = field(repr=False)
 
     @functools.cached_property
+    def closed_form(self) -> FactoredInteger:
+        return _kept_blocks(self.k, self.exceptional_prime, self.removed_primes)
+
+    @functools.cached_property
     def per_prime(self) -> dict[int, int]:
         kept = self.closed_form.factors
         return {p: p ** kept.get(p, 0) for p in primes_upto(self.k)}
+
+
+def _drops(k: int, ar: int) -> tuple[int, int | None, list[tuple[int, int]]]:
+    """PeriodReport's exceptional, exceptional_prime and removed_primes
+    for the reduced difference ar, whose primes are all <= min(k, ar)."""
+    exc_value, exc_prime = exceptional_factor(k, ar)
+    primes = primes_upto(min(k, ar))
+    return exc_value, exc_prime, [(p, integer_log(p, k)) for p in primes if ar % p == 0]
+
+
+def _kept_blocks(k: int, exc_prime: int | None, removed: list) -> FactoredInteger:
+    """The blocks p**E of lcm(1..k) that are not dropped, as factors."""
+    kept = dict.fromkeys(primes_upto(k), 1)
+    for p in primes_upto(math.isqrt(k)):
+        kept[p] = integer_log(p, k)
+    for q, _ in removed:
+        del kept[q]
+    if exc_prime is not None:
+        del kept[exc_prime]
+    return FactoredInteger._from_sieve(kept)
 
 
 def smallest_period(prog: Progression, k: int) -> PeriodReport:
@@ -125,30 +149,13 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
     preserves the smallest period. Each prime p <= k lands in exactly
     one branch: removed (p divides the reduced difference), exceptional
     (decided by exceptional_factor), or kept with its full block p**E.
-    So the period is lcm(1..k), taken from the shared product cache,
-    divided by the exceptional factor and the removed blocks; a
-    remainder is a bug and raises SelfCheckError.
+    Only the first two are visited: the period is lcm(1..k), taken from
+    the shared product cache, divided by the exceptional factor and the
+    removed blocks; a remainder is a bug and raises SelfCheckError.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     ar = prog.a_reduced
-    exc_value, exc_prime = exceptional_factor(k, ar)
-    primes = primes_upto(k)
-    kept = dict.fromkeys(primes, 1)
-    removed = []
-    root = math.isqrt(k)
-    # Every prime above isqrt(k) has exponent 1, and only primes up to
-    # the reduced difference can divide it: the loop stops at both.
-    for p in primes[: bisect_right(primes, max(root, ar))]:
-        if p <= root:
-            kept[p] = integer_log(p, k)
-        if ar % p == 0:
-            removed.append((p, kept.pop(p)))
-    if exc_prime is not None:
-        del kept[exc_prime]
-    dropped = exc_value
-    for q, e in removed:
-        dropped *= q**e
+    exc_value, _, removed = drops = _drops(k, ar)
+    dropped = math.prod((q**e for q, e in removed), start=exc_value)
     lcm = _cached_lcm_upto(k)
     value, rest = divmod(lcm, dropped)
     if rest:
@@ -156,18 +163,7 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
             f"lcm(1..{k}) is not a multiple of the exceptional factor "
             f"{exc_value} times the removed blocks {removed}"
         )
-    return PeriodReport(
-        k=k,
-        a=prog.a,
-        b=prog.b,
-        a_reduced=ar,
-        closed_form=FactoredInteger._from_sieve(kept),
-        exceptional=exc_value,
-        exceptional_prime=exc_prime,
-        removed_primes=removed,
-        value=value,
-        lcm_upto=lcm,
-    )
+    return PeriodReport(k, prog.a, prog.b, ar, *drops, value=value, lcm_upto=lcm)
 
 
 def period_rows(
@@ -205,10 +201,11 @@ def period_rows(
 def closed_form_period(k: int, a: int) -> FactoredInteger:
     """Closed-form smallest period for a reduced difference a >= 1.
 
-    The closed_form of smallest_period(Progression(a, 1), k); stays
-    public because bench/workloads.py times it.
+    The closed_form of smallest_period(Progression(a, 1), k), derived
+    without multiplying out lcm(1..k); stays public because
+    bench/workloads.py times it.
     """
-    return smallest_period(Progression(a, 1), k).closed_form
+    return _kept_blocks(k, *_drops(k, a)[1:])
 
 
 def smallest_period_bruteforce(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -55,6 +56,26 @@ def test_period_text(capsys):
     assert code == 0
     assert "period = 105 = 3 * 5 * 7" in out
     assert "exceptional factor = 4 (prime 2)" in out
+
+
+# SHA-256 over the text and --json output of the period command below,
+# with elapsed_ms cut: any change to what it prints changes the digest.
+PERIOD_OUTPUT_DIGEST = (
+    "649c20ca74b58baa58ee8b91f962289fd06443dbb9bdac98c62ef0a1144a8108"
+)
+
+
+def test_period_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for k in (0, 1, 2, 5, 10, 27, 1000, 9000):
+        for a, b in ((1, 0), (6, 4), (30, 1), (35, 12)):
+            argv = ("period", "--k", str(k), "--a", str(a), "--b", str(b))
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, *argv, *extra)
+                assert code == 0 and err == ""
+                out = re.sub(r', "elapsed_ms": [^}]*}', "}", out)
+                digest.update(f"{argv} {extra}\n{out}".encode())
+    assert digest.hexdigest() == PERIOD_OUTPUT_DIGEST
 
 
 def test_period_verify_agrees(capsys):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from aplcm import verify
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, _ratio, window_ratio, window_terms
 from aplcm.identities import (
@@ -15,7 +16,6 @@ from aplcm.identities import (
     check_gcd_transfer,
     check_lcm_bounds,
     check_ratio_recursion,
-    check_window_divisibility,
     fast_lcm,
     lcm_by_inclusion_exclusion,
     load_period_table,
@@ -142,17 +142,20 @@ def test_lcm_bounds_sweep():
 
 
 def test_window_divisibility_examples():
-    report = check_window_divisibility(Progression(2, 1), Window(1, 2))
-    assert (report.product, report.bound) == (105, 105 * 2)
-    assert report.holds
-
-    report = check_window_divisibility(Progression(1, 0), Window(3, 3))
-    assert (report.product, report.bound) == (360, 60 * 6)
-    assert report.holds
-
-    report = check_window_divisibility(Progression(4, 2), Window(1, 1))
-    assert (report.product, report.bound) == (60, 30 * 1 * 2)
-    assert report.holds
+    # The product of the terms divides lcm(terms) * k! * gcd(t0, t1)**k,
+    # and the divisibility suite's checker finds no failure.
+    for prog, w, expected in (
+        (Progression(2, 1), Window(1, 2), (105, 105 * 2)),
+        (Progression(1, 0), Window(3, 3), (360, 60 * 6)),
+        (Progression(4, 2), Window(1, 1), (60, 30 * 1 * 2)),
+    ):
+        terms = window_terms(prog, w)
+        # t1 = t0 + a, also when k = 0 and the window holds t0 alone.
+        d01 = math.gcd(terms[0], terms[0] + prog.a)
+        bound = math.lcm(*terms) * math.factorial(w.k) * d01**w.k
+        assert (math.prod(terms), bound) == expected
+        assert bound % math.prod(terms) == 0
+        assert not list(verify._check_window_bound(w.k, prog.a, prog.b))
 
 
 def test_window_divisibility_sweep_includes_unreduced():
@@ -165,19 +168,19 @@ def test_window_divisibility_sweep_includes_unreduced():
         for a in range(1, 7):
             for b in range(7):
                 prog = Progression(a, b)
+                assert not list(verify._check_window_bound(k, a, b))
                 for n in range(1, 51):
                     terms = window_terms(prog, Window(n, k))
                     d01 = math.gcd(terms[0], terms[0] + a)
                     assert d01 == math.gcd(a, b)
                     bound = kfact * d01**k
                     ratio = _ratio(a, b, n, k)
-                    report = check_window_divisibility(prog, Window(n, k))
-                    assert report.holds and bound % ratio == 0
-                    lcm = math.lcm(*terms)
+                    lcm, product = math.lcm(*terms), math.prod(terms)
+                    assert lcm * bound % product == 0 and bound % ratio == 0
                     for q in (2, 3, 5, 7):
                         if bound % q == 0:
                             cut = bound // q
-                            assert (lcm * cut % report.product == 0) == \
+                            assert (lcm * cut % product == 0) == \
                                 (cut % ratio == 0)
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import pytest
@@ -9,7 +10,6 @@ from aplcm.gfun import (
     Progression,
     Window,
     count_multiples,
-    count_multiples_naive,
     ratio_valuation_by_counting,
     window_ratio,
 )
@@ -97,6 +97,28 @@ def test_period_report_identities_hold_across_sweep():
         assert report.value * report.exceptional * removed == lcm_upto(k).value
         assert _product_tree(report.per_prime.values()) == report.value
         assert report.value == report.closed_form.value
+        dropped = {q for q, _ in report.removed_primes}
+        dropped.add(report.exceptional_prime)
+        kept = {p: e for p, e in lcm_upto(k).factors.items() if p not in dropped}
+        assert report.closed_form.factors == kept
+
+
+def test_report_derives_its_factorization_on_access():
+    report = smallest_period(Progression(6, 1), 10**5)
+    assert "closed_form" not in vars(report)
+    assert "per_prime" not in vars(report)
+    # Before and after the factorization is derived, a pickled report
+    # comes back equal and derives the same factorization.
+    fresh = pickle.loads(pickle.dumps(report))
+    assert "closed_form" not in vars(fresh)
+    factors = report.closed_form.factors
+    # 2 and 3 divide a, and 100001 = 11 * 9091 absorbs the block 9091.
+    assert report.exceptional_prime == 9091
+    assert len(factors) == len(primes_upto(10**5)) - 3
+    for copy in (fresh, pickle.loads(pickle.dumps(report))):
+        assert copy == report and copy.value == report.value
+        assert copy.closed_form.factors == factors
+    assert closed_form_period(10**5, 6).factors == factors
 
 
 def test_report_lcm_upto_matches_lcm_upto():
@@ -342,9 +364,6 @@ def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
 PRIME_TAKERS = {
     "valuation": lambda p: valuation(p, 5),
     "count_multiples": lambda p: count_multiples(
-        p, 1, Progression(1, 0), Window(1, 5)
-    ),
-    "count_multiples_naive": lambda p: count_multiples_naive(
         p, 1, Progression(1, 0), Window(1, 5)
     ),
     "ratio_valuation_by_counting": lambda p: ratio_valuation_by_counting(
