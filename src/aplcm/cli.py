@@ -241,13 +241,15 @@ def cmd_lcm(args):
                 f"lcm mismatch at n={args.n}: direct {lcm}, "
                 f"period-table {period_val}"
             )
+    # The methods agree, so their fields share one decimal conversion.
+    text = str(lcm)
     result = {
-        "lcm": lcm,
-        "direct": None if args.method == "period" else lcm,
-        "period": period_val,
+        "lcm": text,
+        "direct": None if args.method == "period" else text,
+        "period": None if period_val is None else text,
         "agree": True if args.method == "both" else None,
     }
-    return result, (lcm,), None
+    return result, (text,), None
 
 
 def cmd_witness(args):

@@ -141,6 +141,18 @@ def primes_upto(k: int) -> list[int]:
 # independent computation.
 _lcm_cache: tuple = (1, (), 0, ((),))
 
+# Checkpoints over the levels: the product of the first c level-0 entries,
+# keyed by c, for c = n >> s << s with s = max(0, n.bit_length() - 8). A
+# prefix of n entries is its checkpoint times the nodes below bit s, at
+# most 2**s - 1 entries, so no call multiplies two large nodes once its
+# checkpoint is kept; there are at most 128 checkpoints per bit length of
+# n. A prefix of n entries is always lcm(1..q_n), q_n the n-th prime power,
+# so checkpoints outlive every rebuild of level 0. Their bit lengths total
+# at most 8 * _CHECKPOINT_BYTES, the oldest going first past that, and
+# the dict is copied on write and swapped in whole, like the levels.
+_CHECKPOINT_BYTES = 1 << 24
+_checkpoints: dict[int, int] = {}
+
 
 def _lcm_level0(cache: tuple, k: int) -> tuple:
     """cache with level 0 rebuilt up to the sieve limit (at least k)."""
@@ -168,8 +180,8 @@ def _lcm_level0(cache: tuple, k: int) -> tuple:
 
 
 def _cached_lcm_upto(k: int) -> int:
-    """lcm(1..k) as the product of at most one cached node per level."""
-    global _lcm_cache
+    """lcm(1..k) as a cached checkpoint times the level nodes below it."""
+    global _lcm_cache, _checkpoints
     cache = _lcm_cache
     if k > cache[0]:
         cache = _lcm_level0(cache, k)
@@ -187,14 +199,30 @@ def _cached_lcm_upto(k: int) -> int:
         cache = limit, higher, n, levels
     if cache is not _lcm_cache:
         _lcm_cache = cache
-    # The node of level m ends the prefix's aligned run of 2**m entries
-    # when bit m of n is set; the smallest nodes are multiplied first.
-    product, m = 1, 0
-    while n:
-        if n & 1:
-            product *= levels[m][n - 1]
-        n >>= 1
-        m += 1
+    top = n.bit_length()
+    s = max(0, top - 8)
+    c = n >> s << s
+    point = _checkpoints.get(c)
+    if point is None:
+        point = _node_product(levels, n, s, top)
+        kept = {**_checkpoints, c: point}
+        total = sum(map(int.bit_length, kept.values()))
+        while total > 8 * _CHECKPOINT_BYTES:
+            total -= kept.pop(next(iter(kept))).bit_length()
+        _checkpoints = kept
+    return point * _node_product(levels, n, 0, s)
+
+
+def _node_product(levels: tuple, n: int, lo: int, hi: int) -> int:
+    """Product of the level nodes that the set bits lo..hi-1 of n select.
+
+    The node of level m ends the prefix's aligned run of 2**m entries
+    when bit m of n is set; the smallest nodes are multiplied first.
+    """
+    product = 1
+    for m in range(lo, hi):
+        if n >> m & 1:
+            product *= levels[m][(n >> m) - 1]
     return product
 
 

@@ -117,8 +117,18 @@ class PeriodReport:
 
     @functools.cached_property
     def per_prime(self) -> dict[int, int]:
-        kept = self.closed_form.factors
-        return {p: p ** kept.get(p, 0) for p in primes_upto(self.k)}
+        primes = primes_upto(self.k)
+        per = dict(zip(primes, primes))
+        # Kept blocks with E > 1 lead closed_form: the primes up to isqrt(k).
+        for p, e in self.closed_form.factors.items():
+            if e == 1:
+                break
+            per[p] = p**e
+        for q, _ in self.removed_primes:
+            per[q] = 1
+        if self.exceptional_prime is not None:
+            per[self.exceptional_prime] = 1
+        return per
 
 
 def _drops(k: int, ar: int) -> tuple[int, int | None, list[tuple[int, int]]]:

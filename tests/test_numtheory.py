@@ -117,14 +117,21 @@ def test_product_tree_matches_math_prod():
     assert _product_tree(powers) == math.prod(powers)
 
 
-def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
-    # From an empty sieve and cache, shuffled k with the sieve grown in
-    # between: level 0 is rebuilt over built levels, which grow out of
-    # order.
+def _empty_lcm_cache(monkeypatch, checkpoints=True):
+    """An empty sieve and level cache; the checkpoints too, if asked."""
     monkeypatch.setattr(numtheory, "_prime_cache", ())
     monkeypatch.setattr(numtheory, "_prime_flags", b"")
     monkeypatch.setattr(numtheory, "_prime_cache_limit", 1)
     monkeypatch.setattr(numtheory, "_lcm_cache", (1, (), 0, ((),)))
+    if checkpoints:
+        monkeypatch.setattr(numtheory, "_checkpoints", {})
+
+
+def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
+    # From an empty sieve, cache and checkpoints, shuffled k with the
+    # sieve grown in between: level 0 is rebuilt over built levels, which
+    # grow out of order, and checkpoints are built from both.
+    _empty_lcm_cache(monkeypatch)
     expected = list(accumulate(range(1, 2001), math.lcm, initial=1))
     ks = list(range(2001))
     random.Random(12).shuffle(ks)
@@ -134,6 +141,48 @@ def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
             primes_upto(5000)
         assert numtheory._cached_lcm_upto(k) == expected[k], k
     assert numtheory._cached_lcm_upto(2000) == math.lcm(*range(1, 2001))
+
+
+
+def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
+    # k is the n-th prime power, so lcm(1..k) is the prefix of n level-0
+    # entries. n runs over j * 2**s - 1, j * 2**s and j * 2**s + 1, where
+    # the checkpoint spacing is 2**s, s = max(0, n.bit_length() - 8).
+    top = 90_000
+    powers = sorted(
+        p**j for p in primes_upto(top) for j in range(1, integer_log(p, top) + 1)
+    )
+    ns = {1, 2, 100, 254, 255}  # s = 0: every prefix is a checkpoint
+    for s in (1, 3, 5):
+        for j in (128, 129, 200, 255):
+            ns.update(((j << s) - 1, j << s, (j << s) + 1))
+    expected = {0: 1, 1: 1}
+    expected.update((powers[n - 1], lcm_upto(powers[n - 1]).value) for n in ns)
+    # Descending from an empty state; then ascending, across sieve
+    # regrowths, first over the checkpoints kept from the descent (they
+    # outlive the rebuilt level 0), then with none kept.
+    for descending, keep in ((True, False), (False, True), (False, False)):
+        _empty_lcm_cache(monkeypatch, checkpoints=not keep)
+        for k in sorted(expected, reverse=descending):
+            assert numtheory._cached_lcm_upto(k) == expected[k], k
+
+
+def test_checkpoints_stay_within_their_byte_cap(monkeypatch):
+    cap = 4096
+    _empty_lcm_cache(monkeypatch)
+    monkeypatch.setattr(numtheory, "_CHECKPOINT_BYTES", cap)
+    ks = random.Random(17).sample(range(30_001), 3000)
+    wanted = set(ks)
+    lcms = accumulate(range(1, 30_001), math.lcm, initial=1)
+    expected = {k: lcm for k, lcm in enumerate(lcms) if k in wanted}
+    fullest = 0
+    for k in ks:
+        assert numtheory._cached_lcm_upto(k) == expected[k], k
+        bits = sum(map(int.bit_length, numtheory._checkpoints.values()))
+        assert bits <= 8 * cap, k
+        fullest = max(fullest, bits)
+    # The cap was reached, so checkpoints were evicted on the way.
+    assert fullest > 4 * cap
 
 
 def test_valuation():
