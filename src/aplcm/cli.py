@@ -129,13 +129,9 @@ def _budget_arg(text: str):
     return value
 
 
-def _factored_str(value: int, factored) -> str:
-    rendered = str(factored)
-    return str(value) if rendered == "1" else f"{value} = {rendered}"
-
-
 def _period_lines(report, result):
-    yield f"period = {_factored_str(report.value, report.closed_form)}"
+    factored = str(report.closed_form)
+    yield f"period = {report.value}" + ("" if factored == "1" else f" = {factored}")
     yield f"lcm(1..k) = {result['lcm_upto_k']}"
     yield f"reduced difference = {report.a_reduced}"
     if report.exceptional_prime is None:

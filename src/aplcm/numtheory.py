@@ -129,44 +129,36 @@ def primes_upto(k: int) -> list[int]:
     return list(_prime_cache[: bisect_right(_prime_cache, k)])
 
 
-# Shared product levels of lcm(1..k). Level 0 lists the prime p of every
+# Shared prefix products of lcm(1..k). Level 0 lists the prime p of every
 # prime power p**j up to the cache limit, in ascending order of p**j, so
 # lcm(1..k) is the product of its first n entries, n the number of prime
-# powers <= k. Level m holds the products of aligned runs of 2**m level-0
-# entries, built only over the longest prefix queried so far; a prefix of
-# n entries is then one node per set bit of n. Level 0 grows only at its
-# end, so built nodes stay valid. Like the sieve, the cache is one
-# immutable tuple, (limit, higher prime powers, built prefix, levels),
-# swapped in whole. numtheory.lcm_upto does not use it: it stays the
-# independent computation.
-_lcm_cache: tuple = (1, (), 0, ((),))
+# powers <= k. Like the sieve, the cache is one immutable tuple, (limit,
+# higher prime powers, level 0), swapped in whole. numtheory.lcm_upto does
+# not use it: it stays the independent computation.
+_lcm_cache: tuple = (1, (), ())
 
-# Checkpoints over the levels: the product of the first c level-0 entries,
-# keyed by c, for c = n >> s << s with s = max(0, n.bit_length() - 8). A
-# prefix of n entries is its checkpoint times the nodes below bit s, at
-# most 2**s - 1 entries, so no call multiplies two large nodes once its
-# checkpoint is kept; there are at most 128 checkpoints per bit length of
-# n. A prefix of n entries is always lcm(1..q_n), q_n the n-th prime power,
-# so checkpoints outlive every rebuild of level 0. Their bit lengths total
-# at most 8 * _CHECKPOINT_BYTES, the oldest going first past that, and
-# the dict is copied on write and swapped in whole, like the levels.
+# Checkpoints over level 0: the product of its first c entries, keyed by
+# c, for c = n >> s << s with s = max(0, n.bit_length() - 8). A prefix of
+# n entries is its checkpoint times at most 2**s - 1 small entries, so
+# there are at most 128 checkpoints per bit length of n. A prefix of n
+# entries is always lcm(1..q_n), q_n the n-th prime power, so checkpoints
+# outlive every rebuild of level 0, and a missing one is built on the
+# nearest kept one below it. Their bit lengths total at most
+# 8 * _CHECKPOINT_BYTES, the oldest going first past that, and the dict
+# is copied on write and swapped in whole, like the level-0 cache.
 _CHECKPOINT_BYTES = 1 << 24
 _checkpoints: dict[int, int] = {}
 
 
-def _lcm_level0(cache: tuple, k: int) -> tuple:
-    """cache with level 0 rebuilt up to the sieve limit (at least k)."""
-    _, _, built, levels = cache
+def _lcm_level0(k: int) -> tuple:
+    """The lcm cache with level 0 rebuilt up to the sieve limit (>= k)."""
     primes_upto(k)
     limit = _prime_cache_limit
     primes = _prime_cache
-    higher = []
-    for p in primes[: bisect_right(primes, math.isqrt(limit))]:
-        q = p * p
-        while q <= limit:
-            higher.append((q, p))
-            q *= p
-    higher.sort()
+    root = bisect_right(primes, math.isqrt(limit))
+    higher = sorted(
+        (p**j, p) for p in primes[:root] for j in range(2, integer_log(p, limit) + 1)
+    )
     # Merge the few higher powers into the primes: slices, no per-prime loop.
     level0: list[int] = []
     start = 0
@@ -176,54 +168,30 @@ def _lcm_level0(cache: tuple, k: int) -> tuple:
         level0.append(p)
         start = stop
     level0 += primes[start : bisect_right(primes, limit)]
-    return limit, tuple(q for q, _ in higher), built, (tuple(level0), *levels[1:])
+    return limit, tuple(q for q, _ in higher), tuple(level0)
 
 
 def _cached_lcm_upto(k: int) -> int:
-    """lcm(1..k) as a cached checkpoint times the level nodes below it."""
+    """lcm(1..k) as a cached checkpoint times the level-0 entries after it."""
     global _lcm_cache, _checkpoints
-    cache = _lcm_cache
+    cache, checkpoints = _lcm_cache, _checkpoints
     if k > cache[0]:
-        cache = _lcm_level0(cache, k)
-    limit, higher, built, levels = cache
+        cache = _lcm_cache = _lcm_level0(k)
+    _, higher, level0 = cache
     n = bisect_right(_prime_cache, k) + bisect_right(higher, k)
-    if n > built:
-        grown = list(levels)
-        for m in range(1, n.bit_length()):
-            if m == len(grown):
-                grown.append(())
-            have, need = len(grown[m]), n >> m
-            below = grown[m - 1][2 * have : 2 * need]
-            grown[m] += tuple(map(operator.mul, below[::2], below[1::2]))
-        levels = tuple(grown)
-        cache = limit, higher, n, levels
-    if cache is not _lcm_cache:
-        _lcm_cache = cache
-    top = n.bit_length()
-    s = max(0, top - 8)
+    s = max(0, n.bit_length() - 8)
     c = n >> s << s
-    point = _checkpoints.get(c)
+    point = checkpoints.get(c)
     if point is None:
-        point = _node_product(levels, n, s, top)
-        kept = {**_checkpoints, c: point}
+        below = max((b for b in checkpoints if b < c), default=0)
+        point = checkpoints.get(below, 1) * _product_tree(level0[below:c])
+        kept = {**checkpoints, c: point}
         total = sum(map(int.bit_length, kept.values()))
         while total > 8 * _CHECKPOINT_BYTES:
             total -= kept.pop(next(iter(kept))).bit_length()
         _checkpoints = kept
-    return point * _node_product(levels, n, 0, s)
-
-
-def _node_product(levels: tuple, n: int, lo: int, hi: int) -> int:
-    """Product of the level nodes that the set bits lo..hi-1 of n select.
-
-    The node of level m ends the prefix's aligned run of 2**m entries
-    when bit m of n is set; the smallest nodes are multiplied first.
-    """
-    product = 1
-    for m in range(lo, hi):
-        if n >> m & 1:
-            product *= levels[m][(n >> m) - 1]
-    return product
+    # math.prod: the rest is at most 2**s - 1 small entries.
+    return point * math.prod(level0[c:n])
 
 
 def _product_tree(xs) -> int:

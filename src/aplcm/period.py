@@ -8,11 +8,11 @@ out. With p**E the largest power of p not above k, the block p**E drops
 out when p divides the reduced difference, or when p is the single
 exceptional prime with p**E | k + 1; otherwise it is kept. Only the
 primes up to the reduced difference and the prime divisors of k + 1 are
-visited, and the period is lcm(1..k), from numtheory's shared product
-cache, divided by the blocks that drop out. The factorization over all
-primes p <= k, and the per-prime periods, are derived on first access.
-The brute-force searches below are independent of that pass and of the
-cache, and serve as their oracles.
+visited, and the period is lcm(1..k), from numtheory's shared
+checkpoint cache, divided by the blocks that drop out. The factorization
+over all primes p <= k, and the per-prime periods, are derived on first
+access. The brute-force searches below are independent of that pass and
+of the cache, and serve as their oracles.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
     one branch: removed (p divides the reduced difference), exceptional
     (decided by exceptional_factor), or kept with its full block p**E.
     Only the first two are visited: the period is lcm(1..k), taken from
-    the shared product cache, divided by the exceptional factor and the
-    removed blocks; a remainder is a bug and raises SelfCheckError.
+    the shared checkpoint cache, divided by the exceptional factor and
+    the removed blocks; a remainder is a bug and raises SelfCheckError.
     """
     ar = prog.a_reduced
     exc_value, _, removed = drops = _drops(k, ar)

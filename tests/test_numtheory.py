@@ -118,19 +118,19 @@ def test_product_tree_matches_math_prod():
 
 
 def _empty_lcm_cache(monkeypatch, checkpoints=True):
-    """An empty sieve and level cache; the checkpoints too, if asked."""
+    """An empty sieve and level-0 cache; the checkpoints too, if asked."""
     monkeypatch.setattr(numtheory, "_prime_cache", ())
     monkeypatch.setattr(numtheory, "_prime_flags", b"")
     monkeypatch.setattr(numtheory, "_prime_cache_limit", 1)
-    monkeypatch.setattr(numtheory, "_lcm_cache", (1, (), 0, ((),)))
+    monkeypatch.setattr(numtheory, "_lcm_cache", (1, (), ()))
     if checkpoints:
         monkeypatch.setattr(numtheory, "_checkpoints", {})
 
 
 def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
     # From an empty sieve, cache and checkpoints, shuffled k with the
-    # sieve grown in between: level 0 is rebuilt over built levels, which
-    # grow out of order, and checkpoints are built from both.
+    # sieve grown in between: checkpoints are built out of order, each on
+    # the nearest one below it, and kept across the rebuild of level 0.
     _empty_lcm_cache(monkeypatch)
     expected = list(accumulate(range(1, 2001), math.lcm, initial=1))
     ks = list(range(2001))
