@@ -13,6 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
+from .errors import SelfCheckError
+
 __all__ = [
     "FactoredInteger",
     "MILLER_RABIN_BOUND",
@@ -138,14 +140,14 @@ def primes_upto(k: int) -> list[int]:
 _lcm_cache: tuple = (1, (), ())
 
 # Checkpoints over level 0: the product of its first c entries, keyed by
-# c, for c = n >> s << s with s = max(0, n.bit_length() - 8). A prefix of
-# n entries is its checkpoint times at most 2**s - 1 small entries, so
-# there are at most 128 checkpoints per bit length of n. A prefix of n
-# entries is always lcm(1..q_n), q_n the n-th prime power, so checkpoints
-# outlive every rebuild of level 0, and a missing one is built on the
-# nearest kept one below it. Their bit lengths total at most
-# 8 * _CHECKPOINT_BYTES, the oldest going first past that, and the dict
-# is copied on write and swapped in whole, like the level-0 cache.
+# c, one every 8 entries (c = n >> 3 << 3), so a prefix of n entries is
+# its checkpoint times at most 7 small entries. Such a prefix is always
+# lcm(1..q_n), q_n the n-th prime power, so checkpoints outlive every
+# rebuild of level 0. A missing one is built from the nearer kept
+# neighbour: the one below times the entries in between, or the one above
+# divided by them. Their bit lengths total at most 8 * _CHECKPOINT_BYTES,
+# the oldest going first past that, and the dict is copied on write and
+# swapped in whole, like the level-0 cache.
 _CHECKPOINT_BYTES = 1 << 24
 _checkpoints: dict[int, int] = {}
 
@@ -172,25 +174,38 @@ def _lcm_level0(k: int) -> tuple:
 
 
 def _cached_lcm_upto(k: int) -> int:
-    """lcm(1..k) as a cached checkpoint times the level-0 entries after it."""
+    """lcm(1..k) as a cached checkpoint times the level-0 entries after it.
+
+    Checkpoints sit every 8 entries. A missing one is built from the
+    nearer kept neighbour; one above is divided from only if this level
+    0 reaches it, and a remainder raises SelfCheckError.
+    """
     global _lcm_cache, _checkpoints
     cache, checkpoints = _lcm_cache, _checkpoints
     if k > cache[0]:
         cache = _lcm_cache = _lcm_level0(k)
     _, higher, level0 = cache
     n = bisect_right(_prime_cache, k) + bisect_right(higher, k)
-    s = max(0, n.bit_length() - 8)
-    c = n >> s << s
+    c = n >> 3 << 3
     point = checkpoints.get(c)
     if point is None:
         below = max((b for b in checkpoints if b < c), default=0)
-        point = checkpoints.get(below, 1) * _product_tree(level0[below:c])
+        above = min((b for b in checkpoints if c < b <= len(level0)), default=None)
+        if above is not None and above - c < c - below:
+            point, rest = divmod(checkpoints[above], _product_tree(level0[c:above]))
+            if rest:
+                raise SelfCheckError(
+                    f"checkpoint {above} is not a multiple of the level-0 entries "
+                    f"{c}..{above - 1}"
+                )
+        else:
+            point = checkpoints.get(below, 1) * _product_tree(level0[below:c])
         kept = {**checkpoints, c: point}
         total = sum(map(int.bit_length, kept.values()))
         while total > 8 * _CHECKPOINT_BYTES:
             total -= kept.pop(next(iter(kept))).bit_length()
         _checkpoints = kept
-    # math.prod: the rest is at most 2**s - 1 small entries.
+    # math.prod: the rest is at most 7 small entries.
     return point * math.prod(level0[c:n])
 
 

@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 
 from aplcm import numtheory
+from aplcm.errors import SelfCheckError
 from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
     FactoredInteger,
@@ -129,8 +130,8 @@ def _empty_lcm_cache(monkeypatch, checkpoints=True):
 
 def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
     # From an empty sieve, cache and checkpoints, shuffled k with the
-    # sieve grown in between: checkpoints are built out of order, each on
-    # the nearest one below it, and kept across the rebuild of level 0.
+    # sieve grown in between: checkpoints are built out of order, each from
+    # the nearer kept neighbour, and kept across the rebuild of level 0.
     _empty_lcm_cache(monkeypatch)
     expected = list(accumulate(range(1, 2001), math.lcm, initial=1))
     ks = list(range(2001))
@@ -144,27 +145,88 @@ def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
 
 
 
-def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
-    # k is the n-th prime power, so lcm(1..k) is the prefix of n level-0
-    # entries. n runs over j * 2**s - 1, j * 2**s and j * 2**s + 1, where
-    # the checkpoint spacing is 2**s, s = max(0, n.bit_length() - 8).
-    top = 90_000
-    powers = sorted(
+def _prime_powers_upto(top):
+    """All prime powers <= top, ascending: the n-th is q_n, and
+    lcm(1..q_n) is the prefix of n level-0 entries."""
+    return sorted(
         p**j for p in primes_upto(top) for j in range(1, integer_log(p, top) + 1)
     )
-    ns = {1, 2, 100, 254, 255}  # s = 0: every prefix is a checkpoint
-    for s in (1, 3, 5):
-        for j in (128, 129, 200, 255):
-            ns.update(((j << s) - 1, j << s, (j << s) + 1))
+
+
+def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
+    # k is the n-th prime power, so lcm(1..k) is the prefix of n level-0
+    # entries. n runs over 8j - 1, 8j and 8j + 1: checkpoints sit every 8.
+    powers = _prime_powers_upto(95_000)
+    ns = {1, 2}
+    for j in (1, 2, 3, 4, 5, 16, 100, 500, 1000, 1100, 1124, 1125):
+        ns.update((8 * j - 1, 8 * j, 8 * j + 1))
+    assert max(ns) <= len(powers)
     expected = {0: 1, 1: 1}
     expected.update((powers[n - 1], lcm_upto(powers[n - 1]).value) for n in ns)
-    # Descending from an empty state; then ascending, across sieve
-    # regrowths, first over the checkpoints kept from the descent (they
-    # outlive the rebuilt level 0), then with none kept.
-    for descending, keep in ((True, False), (False, True), (False, False)):
+    ascending = sorted(expected)
+    shuffled = random.Random(19).sample(ascending, len(ascending))
+    # Descending from an empty state, so most checkpoints are divided from
+    # the one above; then ascending, across sieve regrowths, first over the
+    # checkpoints kept from the descent (they outlive the rebuilt level 0),
+    # then with none kept; then shuffled, with both neighbours in reach.
+    for ks, keep in (
+        (ascending[::-1], False),
+        (ascending, True),
+        (ascending, False),
+        (shuffled, False),
+    ):
         _empty_lcm_cache(monkeypatch, checkpoints=not keep)
-        for k in sorted(expected, reverse=descending):
+        for k in ks:
             assert numtheory._cached_lcm_upto(k) == expected[k], k
+
+
+def test_a_descending_sweep_builds_one_checkpoint_from_scratch(monkeypatch):
+    # Every checkpoint after the first is built from a kept neighbour, so
+    # only one product tree runs over thousands of level-0 entries.
+    _empty_lcm_cache(monkeypatch)
+    primes_upto(105_000)
+    long_inputs = []
+    tree = numtheory._product_tree
+
+    def counting(xs):
+        if len(xs) > 1000:
+            long_inputs.append(len(xs))
+        return tree(xs)
+
+    monkeypatch.setattr(numtheory, "_product_tree", counting)
+    for k in range(105_000, 94_999, -50):
+        numtheory._cached_lcm_upto(k)
+    assert len(long_inputs) <= 1, long_inputs
+
+
+def test_a_checkpoint_beyond_level0_is_never_divided_from(monkeypatch):
+    # A checkpoint kept from a longer level 0 lies past the end of the
+    # rebuilt, shorter one. The entries up to it are not all there, so
+    # the checkpoint 8 below it is built from below, not divided from it.
+    _empty_lcm_cache(monkeypatch)
+    numtheory._cached_lcm_upto(2)
+    size = len(numtheory._lcm_cache[2])
+    above = ((size >> 3) + 1) << 3
+    powers = _prime_powers_upto(4 * numtheory._prime_cache_limit)
+    numtheory._cached_lcm_upto(powers[above - 1])
+    assert above in numtheory._checkpoints
+    _empty_lcm_cache(monkeypatch, checkpoints=False)
+    k = powers[above - 9]
+    assert numtheory._cached_lcm_upto(k) == lcm_upto(k).value
+    assert len(numtheory._lcm_cache[2]) == size < above
+
+
+def test_a_corrupted_checkpoint_above_is_not_divided_into_the_cache(monkeypatch):
+    # The kept checkpoint 8 above a missing one is off by one, so dividing
+    # it by the entries in between leaves a remainder.
+    _empty_lcm_cache(monkeypatch)
+    powers = _prime_powers_upto(20_000)
+    numtheory._cached_lcm_upto(powers[999])
+    point = numtheory._checkpoints[1000]
+    monkeypatch.setattr(numtheory, "_checkpoints", {1000: point + 1})
+    with pytest.raises(SelfCheckError):
+        numtheory._cached_lcm_upto(powers[991])
+    assert set(numtheory._checkpoints) == {1000}
 
 
 def test_checkpoints_stay_within_their_byte_cap(monkeypatch):
