@@ -6,14 +6,17 @@ object with keys {command, inputs, result, elapsed_ms}; inputs are the
 parsed arguments, and integer values inside inputs/result are decimal
 strings so arbitrary precision survives any JSON parser.
 
-Each cmd_* returns (result, lines, mismatch): the JSON result, the text
-output as an iterable of lines, consumed only without --json, and None
-or the message of a mismatch, which exits 1. _run does the rest.
+Each cmd_* returns (result, lines, mismatch): the JSON result, already
+rendered with its integers as decimal strings, the text output as an
+iterable of lines, consumed only without --json, and None or the message
+of a mismatch, which exits 1. _run does the rest: it renders inputs and
+hands result to json.dumps as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -54,6 +57,13 @@ EXIT_USAGE = 2
 BUDGET_ENV_VAR = "APLCM_BUDGET"
 
 MAX_FAILURES_SHOWN = 20
+
+# For lcm(1..k) as a decimal product, linear in its digits where str() is
+# quadratic; a product that would be rounded raises instead.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+_ROW_KEYS = ("k", "lcm_upto_k", "exceptional_factor", "period")
 
 
 def resolve_budget(explicit: int | None) -> int:
@@ -129,9 +139,43 @@ def _budget_arg(text: str):
     return value
 
 
+def _prime_maps(report):
+    """factors and per_prime_periods, rendered with one str per prime p <= k.
+
+    Only the kept blocks with E > 1 and the dropped primes have a period
+    other than p or an exponent other than 1; they are converted apart.
+    """
+    per = report.per_prime
+    names = list(map(str, per))
+    periods = dict(zip(names, names))
+    factors = dict.fromkeys(names, "1")
+    # Kept blocks with E > 1 lead closed_form: the primes up to isqrt(k).
+    for p, e in report.closed_form.factors.items():
+        if e == 1:
+            break
+        factors[str(p)], periods[str(p)] = str(e), str(per[p])
+    dropped = [q for q, _ in report.removed_primes]
+    if report.exceptional_prime is not None:
+        dropped.append(report.exceptional_prime)
+    for q in dropped:
+        del factors[str(q)]
+        periods[str(q)] = str(per[q])
+    return factors, periods
+
+
+def _lcm_digits(report, period):
+    """lcm(1..k) in decimal: the period's digits times the dropped blocks."""
+    blocks = math.prod((q**e for q, e in report.removed_primes),
+                       start=report.exceptional)
+    try:
+        return str(_EXACT.multiply(decimal.Decimal(period), blocks))
+    except (decimal.Inexact, decimal.Rounded):
+        raise SelfCheckError(f"lcm(1..{report.k}) would be rounded") from None
+
+
 def _period_lines(report, result):
     factored = str(report.closed_form)
-    yield f"period = {report.value}" + ("" if factored == "1" else f" = {factored}")
+    yield f"period = {result['period']}" + ("" if factored == "1" else f" = {factored}")
     yield f"lcm(1..k) = {result['lcm_upto_k']}"
     yield f"reduced difference = {report.a_reduced}"
     if report.exceptional_prime is None:
@@ -146,8 +190,8 @@ def _period_lines(report, result):
     else:
         removed = "none"
     yield f"removed prime powers: {removed}"
-    if report.per_prime:
-        per = ", ".join(f"{p}: {t}" for p, t in report.per_prime.items())
+    if result["per_prime_periods"]:
+        per = ", ".join(f"{p}: {t}" for p, t in result["per_prime_periods"].items())
         yield f"per-prime periods: {per}"
     if result["oracle"] is not None:
         agrees = "agrees" if result["oracle_agrees"] else "DISAGREES"
@@ -163,21 +207,23 @@ def cmd_period(args):
     if args.verify:
         oracle = smallest_period_bruteforce(prog, args.k, budget)
     agrees = None if oracle is None else oracle == report.value
+    period = str(report.value)
+    factors, periods = _prime_maps(report)
     result = {
-        "period": report.value,
-        "factors": report.closed_form.factors,
-        "lcm_upto_k": report.lcm_upto,
-        "a_reduced": report.a_reduced,
-        "exceptional_factor": report.exceptional,
-        "exceptional_prime": report.exceptional_prime,
-        "removed_primes": report.removed_primes,
-        "per_prime_periods": report.per_prime,
-        "oracle": oracle,
+        "period": period,
+        "factors": factors,
+        "lcm_upto_k": _lcm_digits(report, period),
+        "a_reduced": str(report.a_reduced),
+        "exceptional_factor": str(report.exceptional),
+        "exceptional_prime": _jsonify(report.exceptional_prime),
+        "removed_primes": _jsonify(report.removed_primes),
+        "per_prime_periods": periods,
+        "oracle": _jsonify(oracle),
         "oracle_agrees": agrees,
     }
     mismatch = None
     if agrees is False:
-        mismatch = f"period mismatch: closed form {report.value}, search {oracle}"
+        mismatch = f"period mismatch: closed form {period}, search {oracle}"
     return result, _period_lines(report, result), mismatch
 
 
@@ -196,7 +242,8 @@ def cmd_g(args):
         ]
     else:
         values = _ratios(args.a, args.b, args.k, lo, hi - lo + 1)
-    return values, values, None
+    rendered = list(map(str, values))
+    return rendered, rendered, None
 
 
 def _acquire_table(prog, k, path, budget):
@@ -255,10 +302,10 @@ def cmd_witness(args):
     before = ratio_valuation_by_counting(args.p, prog, Window(n0, args.k))
     after = ratio_valuation_by_counting(args.p, prog, Window(n0 + half, args.k))
     result = {
-        "n0": n0,
-        "shift": half,
-        "valuation_at_n0": before,
-        "valuation_at_shifted": after,
+        "n0": str(n0),
+        "shift": str(half),
+        "valuation_at_n0": str(before),
+        "valuation_at_shifted": str(after),
     }
     lines = (
         f"n0 = {n0}",
@@ -269,12 +316,9 @@ def cmd_witness(args):
 
 
 def _table_lines(rows):
-    yield "k\tlcm_upto_k\texceptional_factor\tperiod"
+    yield "\t".join(_ROW_KEYS)
     for row in rows:
-        yield (
-            f"{row['k']}\t{row['lcm_upto_k']}"
-            f"\t{row['exceptional_factor']}\t{row['period']}"
-        )
+        yield "\t".join(row.values())
 
 
 def cmd_table(args):
@@ -283,10 +327,8 @@ def cmd_table(args):
     # quadratically in k-max.
     work = args.k_max * (args.k_max + 1) // 2
     require_budget(work, resolve_budget(None), "the rows for k up to k-max")
-    rows = [
-        {"k": k, "lcm_upto_k": lcm, "exceptional_factor": exceptional, "period": period}
-        for k, lcm, exceptional, period in period_rows(prog, args.k_max)
-    ]
+    rows = [dict(zip(_ROW_KEYS, map(str, row)))
+            for row in period_rows(prog, args.k_max)]
     return {"rows": rows}, _table_lines(rows), None
 
 
@@ -343,7 +385,7 @@ def cmd_verify(args):
     # The FAIL lines and "passed": false already name the failing suites,
     # so this mismatch adds no message.
     mismatch = None if all(r.passed for r in reports) else ""
-    return result, _report_lines(reports), mismatch
+    return _jsonify(result), _report_lines(reports), mismatch
 
 
 @functools.cache
@@ -448,7 +490,7 @@ def _run(parser, argv) -> int:
                     {
                         "command": args.command,
                         "inputs": _jsonify(inputs),
-                        "result": _jsonify(result),
+                        "result": result,
                         "elapsed_ms": round((perf_counter() - started) * 1000, 3),
                     }
                 )

@@ -1,4 +1,6 @@
+import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import aplcm
-from aplcm import verify
+from aplcm import cli, verify
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
@@ -30,6 +32,9 @@ needs_digit_limit = pytest.mark.skipif(
 @contextmanager
 def no_int_str_limit():
     """Let the test itself render the huge integers it compares."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -76,6 +81,74 @@ def test_period_output_is_pinned(capsys):
                 out = re.sub(r', "elapsed_ms": [^}]*}', "}", out)
                 digest.update(f"{argv} {extra}\n{out}".encode())
     assert digest.hexdigest() == PERIOD_OUTPUT_DIGEST
+
+
+def _period_result(report, lcm):
+    """The JSON result of `period` rendered from the report, field by field."""
+    return {
+        "period": str(report.value),
+        "factors": {str(p): str(e) for p, e in report.closed_form.factors.items()},
+        "lcm_upto_k": str(lcm),
+        "a_reduced": str(report.a_reduced),
+        "exceptional_factor": str(report.exceptional),
+        "exceptional_prime": None if report.exceptional_prime is None
+        else str(report.exceptional_prime),
+        "removed_primes": [[str(q), str(e)] for q, e in report.removed_primes],
+        "per_prime_periods": {str(p): str(t) for p, t in report.per_prime.items()},
+        "oracle": None,
+        "oracle_agrees": None,
+    }
+
+
+def test_period_json_renders_the_report(capsys):
+    # The CLI shares one string per prime between the two maps and builds
+    # lcm_upto_k from the period's digits; this renders every field on its
+    # own, with lcm(1..k) from numtheory.lcm_upto. At k = 7 the exceptional
+    # block is 2^2, except for (30, 1), which has none; (6, 4) is not
+    # reduced; every pair but (1, 0) removes primes.
+    for k in (*range(201), 1000, 8400, 20000):
+        lcm = lcm_upto(k).value
+        for a, b in ((1, 0), (6, 4), (30, 1), (35, 12), (7, 3)):
+            argv = ("period", "--k", str(k), "--a", str(a), "--b", str(b))
+            code, payload, _ = run_json(capsys, *argv, "--json")
+            assert code == 0, argv
+            result = payload["result"]
+            with no_int_str_limit():
+                want = _period_result(smallest_period(Progression(a, b), k), lcm)
+            assert result == want, argv
+            assert list(result) == list(want), argv
+            for key in ("factors", "per_prime_periods"):
+                assert list(result[key]) == list(want[key]), (argv, key)
+
+
+def test_period_output_ignores_the_callers_decimal_context(capsys):
+    # lcm_upto_k is a decimal product: a context that rounds at 5 digits
+    # and traps nothing must change no byte of either output. With a = 6
+    # the period is multiplied by removed blocks; with a = 1 by 1.
+    for argv, extra in itertools.product(
+        (("period", "--k", "2000"), ("period", "--k", "2000", "--a", "6")),
+        ((), ("--json",)),
+    ):
+        code, plain, _ = run(capsys, *argv, *extra)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = False
+            narrow = run(capsys, *argv, *extra)
+        assert code == 0
+        assert (narrow[0], _without_timings(narrow[1]), narrow[2]) == \
+            (code, _without_timings(plain), "")
+
+
+def test_a_rounded_lcm_upto_k_is_never_printed(capsys, monkeypatch):
+    # lcm(1..20) = 232792560 fits in 10 digits; lcm(1..2000) does not.
+    monkeypatch.setattr(cli._EXACT, "prec", 10)
+    code, payload, _ = run_json(capsys, "period", "--k", "20", "--json")
+    assert code == 0 and payload["result"]["lcm_upto_k"] == "232792560"
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "period", "--k", "2000", "--a", "6",
+                             "--b", "1", *extra)
+        assert (code, out) == (1, "")
+        assert err == "consistency failure: lcm(1..2000) would be rounded\n"
 
 
 def test_period_verify_agrees(capsys):
