@@ -40,7 +40,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import integer_log
+from .numtheory import _format_blocks, integer_log, primes_upto
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -142,24 +142,18 @@ def _budget_arg(text: str):
 def _prime_maps(report):
     """factors and per_prime_periods, rendered with one str per prime p <= k.
 
-    Only the kept blocks with E > 1 and the dropped primes have a period
-    other than p or an exponent other than 1; they are converted apart.
+    Every prime has exponent 1 and period p but those in the report's
+    sparse exponent table, which are converted apart.
     """
-    per = report.per_prime
-    names = list(map(str, per))
+    names = list(map(str, primes_upto(report.k)))
     periods = dict(zip(names, names))
     factors = dict.fromkeys(names, "1")
-    # Kept blocks with E > 1 lead closed_form: the primes up to isqrt(k).
-    for p, e in report.closed_form.factors.items():
-        if e == 1:
-            break
-        factors[str(p)], periods[str(p)] = str(e), str(per[p])
-    dropped = [q for q, _ in report.removed_primes]
-    if report.exceptional_prime is not None:
-        dropped.append(report.exceptional_prime)
-    for q in dropped:
-        del factors[str(q)]
-        periods[str(q)] = str(per[q])
+    for p, e in report.exponents.items():
+        periods[str(p)] = str(p**e)
+        if e:
+            factors[str(p)] = str(e)
+        else:
+            del factors[str(p)]
     return factors, periods
 
 
@@ -174,7 +168,7 @@ def _lcm_digits(report, period):
 
 
 def _period_lines(report, result):
-    factored = str(report.closed_form)
+    factored = _format_blocks(result["factors"].items(), "1")
     yield f"period = {result['period']}" + ("" if factored == "1" else f" = {factored}")
     yield f"lcm(1..k) = {result['lcm_upto_k']}"
     yield f"reduced difference = {report.a_reduced}"

@@ -334,11 +334,12 @@ class FactoredInteger:
         return sorted(divs)
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(
-            str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors.items()
-        )
+        return _format_blocks(self.factors.items(), 1)
+
+
+def _format_blocks(pairs, one) -> str:
+    """Blocks as "p^e * q": (prime, exponent) pairs, ints or strings; "1" if none."""
+    return " * ".join(f"{p}" if e == one else f"{p}^{e}" for p, e in pairs) or "1"
 
 
 def lcm_upto(k: int) -> FactoredInteger:

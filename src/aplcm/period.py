@@ -9,10 +9,10 @@ out when p divides the reduced difference, or when p is the single
 exceptional prime with p**E | k + 1; otherwise it is kept. Only the
 primes up to the reduced difference and the prime divisors of k + 1 are
 visited, and the period is lcm(1..k), from numtheory's shared
-checkpoint cache, divided by the blocks that drop out. The factorization
-over all primes p <= k, and the per-prime periods, are derived on first
-access. The brute-force searches below are independent of that pass and
-of the cache, and serve as their oracles.
+checkpoint cache, divided by the blocks that drop out. One sparse table,
+_exponents, states that rule: the factorization and per-prime periods
+over all primes p <= k are read from it on first access. The brute-force
+searches below are independent of it and of the cache: they are oracles.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ class PeriodReport:
     removed_primes lists (q, E) for primes q dividing the reduced
     difference, q <= k. value is the period and lcm_upto is lcm(1..k);
     both are left out of repr, whose int-to-str conversion could exceed
-    the interpreter's digit limit. closed_form factors the period over
-    the primes p <= k, and per_prime maps each p to the period of the
-    p-valuation of the ratio (1 where the prime drops out); both are
-    derived from the fields on first access.
+    the interpreter's digit limit. Derived on first access: exponents,
+    the period's exponents other than 1 (see _exponents), and from it
+    closed_form, the period over the primes p <= k, and per_prime, the
+    period of each p-valuation of the ratio (1 where p drops out).
     """
 
     k: int
@@ -112,23 +112,17 @@ class PeriodReport:
     lcm_upto: int = field(repr=False)
 
     @functools.cached_property
+    def exponents(self) -> dict[int, int]:
+        return _exponents(self.k, self.exceptional_prime, self.removed_primes)
+
+    @functools.cached_property
     def closed_form(self) -> FactoredInteger:
-        return _kept_blocks(self.k, self.exceptional_prime, self.removed_primes)
+        return _factored(self.k, self.exponents)
 
     @functools.cached_property
     def per_prime(self) -> dict[int, int]:
-        primes = primes_upto(self.k)
-        per = dict(zip(primes, primes))
-        # Kept blocks with E > 1 lead closed_form: the primes up to isqrt(k).
-        for p, e in self.closed_form.factors.items():
-            if e == 1:
-                break
-            per[p] = p**e
-        for q, _ in self.removed_primes:
-            per[q] = 1
-        if self.exceptional_prime is not None:
-            per[self.exceptional_prime] = 1
-        return per
+        exps = self.exponents
+        return {p: p ** exps.get(p, 1) for p in primes_upto(self.k)}
 
 
 def _drops(k: int, ar: int) -> tuple[int, int | None, list[tuple[int, int]]]:
@@ -139,15 +133,25 @@ def _drops(k: int, ar: int) -> tuple[int, int | None, list[tuple[int, int]]]:
     return exc_value, exc_prime, [(p, integer_log(p, k)) for p in primes if ar % p == 0]
 
 
-def _kept_blocks(k: int, exc_prime: int | None, removed: list) -> FactoredInteger:
-    """The blocks p**E of lcm(1..k) that are not dropped, as factors."""
-    kept = dict.fromkeys(primes_upto(k), 1)
-    for p in primes_upto(math.isqrt(k)):
-        kept[p] = integer_log(p, k)
-    for q, _ in removed:
-        del kept[q]
+def _exponents(k: int, exc_prime: int | None, removed: list) -> dict[int, int]:
+    """The period's exponent at each prime p <= k where it is not 1.
+
+    A kept prime p has the exponent E of lcm(1..k), which exceeds 1 only
+    up to isqrt(k); a dropped prime, removed or exceptional, has 0.
+    """
+    exps = {p: integer_log(p, k) for p in primes_upto(math.isqrt(k))}
+    exps.update((q, 0) for q, _ in removed)
     if exc_prime is not None:
-        del kept[exc_prime]
+        exps[exc_prime] = 0
+    return exps
+
+
+def _factored(k: int, exps: dict[int, int]) -> FactoredInteger:
+    """The period over the primes p <= k, from its exponent table."""
+    kept = dict.fromkeys(primes_upto(k), 1)
+    kept.update(exps)
+    for p in [p for p, e in exps.items() if not e]:
+        del kept[p]
     return FactoredInteger._from_sieve(kept)
 
 
@@ -215,7 +219,7 @@ def closed_form_period(k: int, a: int) -> FactoredInteger:
     without multiplying out lcm(1..k); stays public because
     bench/workloads.py times it.
     """
-    return _kept_blocks(k, *_drops(k, a)[1:])
+    return _factored(k, _exponents(k, *_drops(k, a)[1:]))
 
 
 def smallest_period_bruteforce(

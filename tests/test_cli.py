@@ -18,7 +18,7 @@ from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
 from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto
-from aplcm.period import smallest_period
+from aplcm.period import PeriodReport, smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
 
@@ -149,6 +149,23 @@ def test_a_rounded_lcm_upto_k_is_never_printed(capsys, monkeypatch):
                              "--b", "1", *extra)
         assert (code, out) == (1, "")
         assert err == "consistency failure: lcm(1..2000) would be rounded\n"
+
+
+def test_period_renders_from_the_exponent_table_alone(capsys, monkeypatch):
+    # Neither pi(k)-sized map of the report is built: the CLI reads the
+    # sparse exponent table and the sieve's primes.
+    argvs = [("period", "--k", "1000", "--a", a, "--b", "1", *extra)
+             for a in ("1", "6") for extra in ((), ("--json",))]
+    plain = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(report):
+        raise AssertionError("the CLI derived a full map of the report")
+
+    monkeypatch.setattr(PeriodReport, "closed_form", property(refuse))
+    monkeypatch.setattr(PeriodReport, "per_prime", property(refuse))
+    for argv, (code, out, err) in zip(argvs, plain):
+        assert code == 0 and err == ""
+        assert _without_timings(run(capsys, *argv)[1]) == _without_timings(out)
 
 
 def test_period_verify_agrees(capsys):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from aplcm.gfun import (
 from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
     _product_tree,
+    factorize,
     integer_log,
     lcm_upto,
     primes_upto,
@@ -101,10 +103,15 @@ def test_period_report_identities_hold_across_sweep():
         dropped.add(report.exceptional_prime)
         kept = {p: e for p, e in lcm_upto(k).factors.items() if p not in dropped}
         assert report.closed_form.factors == kept
+        # The sparse table: every exponent of the period other than 1.
+        exponents = {p: e for p, e in kept.items() if e != 1}
+        exponents.update((q, 0) for q in dropped - {None})
+        assert report.exponents == exponents
 
 
 def test_report_derives_its_factorization_on_access():
     report = smallest_period(Progression(6, 1), 10**5)
+    assert "exponents" not in vars(report)
     assert "closed_form" not in vars(report)
     assert "per_prime" not in vars(report)
     # Before and after the factorization is derived, a pickled report
@@ -119,6 +126,16 @@ def test_report_derives_its_factorization_on_access():
         assert copy == report and copy.value == report.value
         assert copy.closed_form.factors == factors
     assert closed_form_period(10**5, 6).factors == factors
+
+
+def test_removed_primes_are_the_prime_divisors_of_a_large_difference():
+    # Every sweep elsewhere draws a <= 60; here a reaches 10^6, so its
+    # large prime divisors up to k must be removed too.
+    rng = random.Random(20)
+    for _ in range(200):
+        a, k = rng.randint(1, 10**6), rng.choice((100, 1000, 5000))
+        want = [(p, integer_log(p, k)) for p in sorted(factorize(a)) if p <= k]
+        assert smallest_period(Progression(a, 1), k).removed_primes == want, (a, k)
 
 
 def test_report_lcm_upto_matches_lcm_upto():
