@@ -62,10 +62,6 @@ class Progression:
     def b_reduced(self) -> int:
         return self.b // self.d
 
-    @property
-    def is_reduced(self) -> bool:
-        return self.d == 1
-
     def reduced(self) -> "Progression":
         return Progression(self.a_reduced, self.b_reduced)
 

@@ -74,9 +74,10 @@ def is_prime(n: int) -> bool:
     (where that is exact). A larger n with no prime factor up to 41
     raises ValueError: no bounded test here is exact for it.
     """
-    if n <= _prime_cache_limit:
+    sieve = _sieve
+    if n <= sieve[0]:
         # n >= 2 first: a negative index would read the flags from the end.
-        return n >= 2 and _prime_flags[n] == 1
+        return n >= 2 and sieve[2][n] == 1
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -100,113 +101,101 @@ def require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-# Growing shared sieve: the primes and their flags (flags[n] == 1 iff n is
-# prime). Both immutable objects are swapped in before the limit, so
-# concurrent readers that see a limit also see primes and flags covering it.
-_prime_cache: tuple[int, ...] = ()
-_prime_flags = b""
-_prime_cache_limit = 1
+# The shared sieve: one immutable tuple (limit, primes, flags, higher,
+# roots), swapped in whole, so a reader that sees a limit also sees all
+# that covers it. flags[n] == 1 iff n is prime; higher lists the prime
+# powers p**j <= limit with j >= 2, ascending, and roots their primes.
+# primes and higher are the ladder of lcm(1..k), which gains the factor p
+# exactly at k = p**j.
+_sieve: tuple = (1, (), b"", (), ())
 
 
-def _grow_prime_cache(limit: int) -> None:
-    global _prime_cache, _prime_flags, _prime_cache_limit
-    limit = max(limit, 2 * _prime_cache_limit, 1024)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+def _sieve_upto(k: int) -> tuple:
+    """A sieve snapshot whose limit is at least k, grown if need be."""
+    global _sieve
+    sieve = _sieve
+    if k <= sieve[0]:
+        return sieve
+    limit = max(k, 2 * sieve[0], 1024)
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
+        if flags[p]:
             start = p * p
-            sieve[start : limit + 1 : p] = bytes((limit - start) // p + 1)
-    _prime_flags = bytes(sieve)
-    _prime_cache = tuple(compress(range(limit + 1), sieve))
-    _prime_cache_limit = limit
+            flags[start : limit + 1 : p] = bytes((limit - start) // p + 1)
+    primes = tuple(compress(range(limit + 1), flags))
+    root = bisect_right(primes, math.isqrt(limit))
+    higher = sorted(
+        (p**j, p) for p in primes[:root] for j in range(2, integer_log(p, limit) + 1)
+    )
+    _sieve = sieve = (limit, primes, bytes(flags), *zip(*higher))
+    return sieve
 
 
 def primes_upto(k: int) -> list[int]:
     """Ascending list of all primes <= k (empty for k < 2)."""
     if k < 2:
         return []
-    if k > _prime_cache_limit:
-        _grow_prime_cache(k)
-    return list(_prime_cache[: bisect_right(_prime_cache, k)])
+    primes = _sieve_upto(k)[1]
+    return list(primes[: bisect_right(primes, k)])
 
 
-# Shared prefix products of lcm(1..k). Level 0 lists the prime p of every
-# prime power p**j up to the cache limit, in ascending order of p**j, so
-# lcm(1..k) is the product of its first n entries, n the number of prime
-# powers <= k. Like the sieve, the cache is one immutable tuple, (limit,
-# higher prime powers, level 0), swapped in whole. numtheory.lcm_upto does
-# not use it: it stays the independent computation.
-_lcm_cache: tuple = (1, (), ())
+def _gained(sieve: tuple, lo: int, hi: int) -> tuple:
+    """The factors lcm(1..hi) has beyond lcm(1..lo), lo <= hi <= the
+    sieve's limit: the ladder's primes for the prime powers in (lo, hi]."""
+    _, primes, _, higher, roots = sieve
+    return (
+        primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
+        + roots[bisect_right(higher, lo) : bisect_right(higher, hi)]
+    )
 
-# Checkpoints over level 0: the product of its first c entries, keyed by
-# c, one every 8 entries (c = n >> 3 << 3), so a prefix of n entries is
-# its checkpoint times at most 7 small entries. Such a prefix is always
-# lcm(1..q_n), q_n the n-th prime power, so checkpoints outlive every
-# rebuild of level 0. A missing one is built from the nearer kept
-# neighbour: the one below times the entries in between, or the one above
-# divided by them. Their bit lengths total at most 8 * _CHECKPOINT_BYTES,
-# the oldest going first past that, and the dict is copied on write and
-# swapped in whole, like the level-0 cache.
+
+# Checkpoints of lcm(1..m), keyed by m, one every 64 (m = k >> 6 << 6), so
+# lcm(1..k) is its checkpoint times the few factors gained after m. A
+# missing one is built from the nearer kept neighbour: the one below times
+# the factors gained in between, or the one above divided by them. Their
+# bit lengths total at most 8 * _CHECKPOINT_BYTES, the oldest going first
+# past that, and the dict is copied on write and swapped in whole, like
+# the sieve. numtheory.lcm_upto does not use them: it stays the
+# independent computation.
 _CHECKPOINT_BYTES = 1 << 24
 _checkpoints: dict[int, int] = {}
 
 
-def _lcm_level0(k: int) -> tuple:
-    """The lcm cache with level 0 rebuilt up to the sieve limit (>= k)."""
-    primes_upto(k)
-    limit = _prime_cache_limit
-    primes = _prime_cache
-    root = bisect_right(primes, math.isqrt(limit))
-    higher = sorted(
-        (p**j, p) for p in primes[:root] for j in range(2, integer_log(p, limit) + 1)
-    )
-    # Merge the few higher powers into the primes: slices, no per-prime loop.
-    level0: list[int] = []
-    start = 0
-    for q, p in higher:
-        stop = bisect_right(primes, q, start)
-        level0 += primes[start:stop]
-        level0.append(p)
-        start = stop
-    level0 += primes[start : bisect_right(primes, limit)]
-    return limit, tuple(q for q, _ in higher), tuple(level0)
-
-
 def _cached_lcm_upto(k: int) -> int:
-    """lcm(1..k) as a cached checkpoint times the level-0 entries after it.
+    """lcm(1..k) as a cached checkpoint times the factors gained after it.
 
-    Checkpoints sit every 8 entries. A missing one is built from the
-    nearer kept neighbour; one above is divided from only if this level
-    0 reaches it, and a remainder raises SelfCheckError.
+    A missing checkpoint is built from the nearer kept neighbour; one
+    above is divided from only if this call's sieve reaches it (another
+    thread may have kept one past it), and a remainder raises
+    SelfCheckError.
     """
-    global _lcm_cache, _checkpoints
-    cache, checkpoints = _lcm_cache, _checkpoints
-    if k > cache[0]:
-        cache = _lcm_cache = _lcm_level0(k)
-    _, higher, level0 = cache
-    n = bisect_right(_prime_cache, k) + bisect_right(higher, k)
-    c = n >> 3 << 3
-    point = checkpoints.get(c)
+    global _checkpoints
+    sieve = _sieve_upto(k)
+    checkpoints = _checkpoints
+    m = k >> 6 << 6
+    point = checkpoints.get(m)
     if point is None:
-        below = max((b for b in checkpoints if b < c), default=0)
-        above = min((b for b in checkpoints if c < b <= len(level0)), default=None)
-        if above is not None and above - c < c - below:
-            point, rest = divmod(checkpoints[above], _product_tree(level0[c:above]))
+        below = max((b for b in checkpoints if b < m), default=0)
+        above = min((b for b in checkpoints if m < b <= sieve[0]), default=None)
+        if above is not None and above - m < m - below:
+            point, rest = divmod(
+                checkpoints[above], _product_tree(_gained(sieve, m, above))
+            )
             if rest:
                 raise SelfCheckError(
-                    f"checkpoint {above} is not a multiple of the level-0 entries "
-                    f"{c}..{above - 1}"
+                    f"checkpoint lcm(1..{above}) is not a multiple of the "
+                    f"factors gained after {m}"
                 )
         else:
-            point = checkpoints.get(below, 1) * _product_tree(level0[below:c])
-        kept = {**checkpoints, c: point}
+            point = checkpoints.get(below, 1) * _product_tree(_gained(sieve, below, m))
+        kept = {**checkpoints, m: point}
         total = sum(map(int.bit_length, kept.values()))
         while total > 8 * _CHECKPOINT_BYTES:
             total -= kept.pop(next(iter(kept))).bit_length()
         _checkpoints = kept
-    # math.prod: the rest is at most 7 small entries.
-    return point * math.prod(level0[c:n])
+    # math.prod: the rest is a few small factors.
+    return point * math.prod(_gained(sieve, m, k))
 
 
 def _product_tree(xs) -> int:

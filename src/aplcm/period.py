@@ -18,6 +18,7 @@ searches below are independent of it and of the cache: they are oracles.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .gfun import (
 from .numtheory import (
     FactoredInteger,
     _cached_lcm_upto,
+    _sieve_upto,
     factorize,
     integer_log,
     lcm_upto,
@@ -186,28 +188,26 @@ def period_rows(
     """(k, lcm(1..k), exceptional factor, smallest period) for k = 0..k_max.
 
     One pass over k instead of one smallest_period per k: lcm(1..k)
-    gains a factor p exactly when k is a power of the prime p, and the
-    blocks of primes dividing the reduced difference grow with it. The
-    period follows from smallest_period's identity, period times
-    exceptional factor times removed blocks equals lcm(1..k), with the
-    exceptional factor taken from exceptional_factor.
+    gains a factor p exactly when k is a power of the prime p, so the
+    pass walks the sieve's ladder of prime powers once, and the blocks of
+    primes dividing the reduced difference grow with it. The period
+    follows from smallest_period's identity, period times exceptional
+    factor times removed blocks equals lcm(1..k), with the exceptional
+    factor taken from exceptional_factor.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     ar = prog.a_reduced
-    base: dict[int, int] = {}  # every prime power q <= k_max -> its prime
-    for p in primes_upto(k_max):
-        q = p
-        while q <= k_max:
-            base[q] = p
-            q *= p
+    _, primes, _, higher, roots = _sieve_upto(k_max)
+    ladder = heapq.merge(zip(primes, primes), zip(higher, roots))
+    q, p = next(ladder)
     lcm = removed = 1
     for k in range(k_max + 1):
-        p = base.get(k)
-        if p is not None:
+        if k == q:
             lcm *= p
             if ar % p == 0:
                 removed *= p
+            q, p = next(ladder, (0, 1))  # past the ladder's end: no later k is 0
         exceptional = exceptional_factor(k, ar)[0]
         yield k, lcm, exceptional, lcm // (exceptional * removed)
 

@@ -83,18 +83,25 @@ def test_period_output_is_pinned(capsys):
     assert digest.hexdigest() == PERIOD_OUTPUT_DIGEST
 
 
-def _period_result(report, lcm):
-    """The JSON result of `period` rendered from the report, field by field."""
+def _period_result(report, lf):
+    """The JSON result of `period` rendered field by field, its two prime
+    maps from lf = lcm_upto(k), not from the report's exponent table: a
+    prime drops out when it divides the reduced difference or its block
+    p^E divides k + 1."""
+    k, ar = report.k, report.a_reduced
+    dropped = {p for p, e in lf.factors.items() if ar % p == 0 or (k + 1) % p**e == 0}
     return {
         "period": str(report.value),
-        "factors": {str(p): str(e) for p, e in report.closed_form.factors.items()},
-        "lcm_upto_k": str(lcm),
-        "a_reduced": str(report.a_reduced),
+        "factors": {str(p): str(e) for p, e in lf.factors.items() if p not in dropped},
+        "lcm_upto_k": str(lf.value),
+        "a_reduced": str(ar),
         "exceptional_factor": str(report.exceptional),
         "exceptional_prime": None if report.exceptional_prime is None
         else str(report.exceptional_prime),
         "removed_primes": [[str(q), str(e)] for q, e in report.removed_primes],
-        "per_prime_periods": {str(p): str(t) for p, t in report.per_prime.items()},
+        "per_prime_periods": {
+            str(p): "1" if p in dropped else str(p**e) for p, e in lf.factors.items()
+        },
         "oracle": None,
         "oracle_agrees": None,
     }
@@ -103,18 +110,18 @@ def _period_result(report, lcm):
 def test_period_json_renders_the_report(capsys):
     # The CLI shares one string per prime between the two maps and builds
     # lcm_upto_k from the period's digits; this renders every field on its
-    # own, with lcm(1..k) from numtheory.lcm_upto. At k = 7 the exceptional
-    # block is 2^2, except for (30, 1), which has none; (6, 4) is not
-    # reduced; every pair but (1, 0) removes primes.
+    # own, with lcm(1..k) and the two maps from numtheory.lcm_upto. At
+    # k = 7 the exceptional block is 2^2, except for (30, 1), which has
+    # none; (6, 4) is not reduced; every pair but (1, 0) removes primes.
     for k in (*range(201), 1000, 8400, 20000):
-        lcm = lcm_upto(k).value
+        lf = lcm_upto(k)
         for a, b in ((1, 0), (6, 4), (30, 1), (35, 12), (7, 3)):
             argv = ("period", "--k", str(k), "--a", str(a), "--b", str(b))
             code, payload, _ = run_json(capsys, *argv, "--json")
             assert code == 0, argv
             result = payload["result"]
             with no_int_str_limit():
-                want = _period_result(smallest_period(Progression(a, b), k), lcm)
+                want = _period_result(smallest_period(Progression(a, b), k), lf)
             assert result == want, argv
             assert list(result) == list(want), argv
             for key in ("factors", "per_prime_periods"):

@@ -31,7 +31,7 @@ def coprime_pairs(a_max, b_max):
 
 def test_progression_reduction():
     p = Progression(1, 0)
-    assert (p.d, p.a_reduced, p.b_reduced, p.is_reduced) == (1, 1, 0, True)
+    assert (p.d, p.a_reduced, p.b_reduced) == (1, 1, 0)
     p = Progression(4, 2)
     assert (p.d, p.a_reduced, p.b_reduced) == (2, 2, 1)
     assert p.reduced() == Progression(2, 1)

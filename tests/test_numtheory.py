@@ -88,14 +88,14 @@ def test_is_prime_small():
 
 def test_is_prime_across_the_sieve_limit():
     primes_upto(1000)
-    limit = numtheory._prime_cache_limit
+    limit = numtheory._sieve[0]
     for n in range(-3, limit + 201):
         assert is_prime(n) == trial_division_is_prime(n), n
 
 
 def test_is_prime_after_sieve_growth():
     primes_upto(10**4)
-    assert numtheory._prime_cache_limit >= 10**4
+    assert numtheory._sieve[0] >= 10**4
     for n in range(2001):
         assert is_prime(n) == trial_division_is_prime(n), n
 
@@ -103,7 +103,7 @@ def test_is_prime_after_sieve_growth():
 def test_is_prime_is_false_for_negatives_inside_the_sieve():
     # A negative index would read the sieve flags from the end.
     primes_upto(10**4)
-    limit = numtheory._prime_cache_limit
+    limit = numtheory._sieve[0]
     assert not any(is_prime(-n) for n in range(1, limit + 1))
 
 
@@ -119,19 +119,16 @@ def test_product_tree_matches_math_prod():
 
 
 def _empty_lcm_cache(monkeypatch, checkpoints=True):
-    """An empty sieve and level-0 cache; the checkpoints too, if asked."""
-    monkeypatch.setattr(numtheory, "_prime_cache", ())
-    monkeypatch.setattr(numtheory, "_prime_flags", b"")
-    monkeypatch.setattr(numtheory, "_prime_cache_limit", 1)
-    monkeypatch.setattr(numtheory, "_lcm_cache", (1, (), ()))
+    """An empty sieve; the checkpoints too, if asked."""
+    monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
     if checkpoints:
         monkeypatch.setattr(numtheory, "_checkpoints", {})
 
 
 def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
-    # From an empty sieve, cache and checkpoints, shuffled k with the
-    # sieve grown in between: checkpoints are built out of order, each from
-    # the nearer kept neighbour, and kept across the rebuild of level 0.
+    # From an empty sieve and checkpoints, shuffled k with the sieve grown
+    # in between: checkpoints are built out of order, each from the nearer
+    # kept neighbour, and kept across the growth of the sieve.
     _empty_lcm_cache(monkeypatch)
     expected = list(accumulate(range(1, 2001), math.lcm, initial=1))
     ks = list(range(2001))
@@ -144,30 +141,19 @@ def test_cached_lcm_upto_matches_math_lcm(monkeypatch):
     assert numtheory._cached_lcm_upto(2000) == math.lcm(*range(1, 2001))
 
 
-
-def _prime_powers_upto(top):
-    """All prime powers <= top, ascending: the n-th is q_n, and
-    lcm(1..q_n) is the prefix of n level-0 entries."""
-    return sorted(
-        p**j for p in primes_upto(top) for j in range(1, integer_log(p, top) + 1)
-    )
-
-
 def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
-    # k is the n-th prime power, so lcm(1..k) is the prefix of n level-0
-    # entries. n runs over 8j - 1, 8j and 8j + 1: checkpoints sit every 8.
-    powers = _prime_powers_upto(95_000)
-    ns = {1, 2}
-    for j in (1, 2, 3, 4, 5, 16, 100, 500, 1000, 1100, 1124, 1125):
-        ns.update((8 * j - 1, 8 * j, 8 * j + 1))
-    assert max(ns) <= len(powers)
-    expected = {0: 1, 1: 1}
-    expected.update((powers[n - 1], lcm_upto(powers[n - 1]).value) for n in ns)
+    # Checkpoints are keyed by k >> 6 << 6, so k runs over 64j - 1, 64j
+    # and 64j + 1.
+    ks = {0, 1, 2}
+    for j in (1, 2, 3, 4, 5, 16, 100, 500, 1000, 1100, 1483, 1484):
+        ks.update((64 * j - 1, 64 * j, 64 * j + 1))
+    assert max(ks) <= 95_000
+    expected = {k: lcm_upto(k).value for k in ks}
     ascending = sorted(expected)
     shuffled = random.Random(19).sample(ascending, len(ascending))
     # Descending from an empty state, so most checkpoints are divided from
     # the one above; then ascending, across sieve regrowths, first over the
-    # checkpoints kept from the descent (they outlive the rebuilt level 0),
+    # checkpoints kept from the descent (they outlive the sieve's growth),
     # then with none kept; then shuffled, with both neighbours in reach.
     for ks, keep in (
         (ascending[::-1], False),
@@ -182,7 +168,7 @@ def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
 
 def test_a_descending_sweep_builds_one_checkpoint_from_scratch(monkeypatch):
     # Every checkpoint after the first is built from a kept neighbour, so
-    # only one product tree runs over thousands of level-0 entries.
+    # only one product tree runs over thousands of factors.
     _empty_lcm_cache(monkeypatch)
     primes_upto(105_000)
     long_inputs = []
@@ -199,34 +185,34 @@ def test_a_descending_sweep_builds_one_checkpoint_from_scratch(monkeypatch):
     assert len(long_inputs) <= 1, long_inputs
 
 
-def test_a_checkpoint_beyond_level0_is_never_divided_from(monkeypatch):
-    # A checkpoint kept from a longer level 0 lies past the end of the
-    # rebuilt, shorter one. The entries up to it are not all there, so
-    # the checkpoint 8 below it is built from below, not divided from it.
+def test_a_checkpoint_beyond_the_sieve_is_never_divided_from(monkeypatch):
+    # Another reader, with a longer sieve, kept a checkpoint past the
+    # limit of this reader's sieve. The factors up to it are not all in
+    # this sieve, so the checkpoint 64 below it is built from below, not
+    # divided from it.
     _empty_lcm_cache(monkeypatch)
     numtheory._cached_lcm_upto(2)
-    size = len(numtheory._lcm_cache[2])
-    above = ((size >> 3) + 1) << 3
-    powers = _prime_powers_upto(4 * numtheory._prime_cache_limit)
-    numtheory._cached_lcm_upto(powers[above - 1])
+    sieve = numtheory._sieve
+    limit = sieve[0]
+    above = ((limit >> 6) + 1) << 6
+    numtheory._cached_lcm_upto(above)
     assert above in numtheory._checkpoints
-    _empty_lcm_cache(monkeypatch, checkpoints=False)
-    k = powers[above - 9]
+    monkeypatch.setattr(numtheory, "_sieve", sieve)
+    k = above - 64
     assert numtheory._cached_lcm_upto(k) == lcm_upto(k).value
-    assert len(numtheory._lcm_cache[2]) == size < above
+    assert numtheory._sieve is sieve and k <= limit < above
 
 
 def test_a_corrupted_checkpoint_above_is_not_divided_into_the_cache(monkeypatch):
-    # The kept checkpoint 8 above a missing one is off by one, so dividing
-    # it by the entries in between leaves a remainder.
+    # The kept checkpoint 64 above a missing one is off by one, so dividing
+    # it by the factors gained in between leaves a remainder.
     _empty_lcm_cache(monkeypatch)
-    powers = _prime_powers_upto(20_000)
-    numtheory._cached_lcm_upto(powers[999])
-    point = numtheory._checkpoints[1000]
-    monkeypatch.setattr(numtheory, "_checkpoints", {1000: point + 1})
+    numtheory._cached_lcm_upto(8000)
+    point = numtheory._checkpoints[8000]
+    monkeypatch.setattr(numtheory, "_checkpoints", {8000: point + 1})
     with pytest.raises(SelfCheckError):
-        numtheory._cached_lcm_upto(powers[991])
-    assert set(numtheory._checkpoints) == {1000}
+        numtheory._cached_lcm_upto(7999)
+    assert set(numtheory._checkpoints) == {8000}
 
 
 def test_checkpoints_stay_within_their_byte_cap(monkeypatch):
@@ -354,7 +340,7 @@ def test_lcm_upto_around_prime_squares():
 
 def test_is_prime_above_the_sieve_matches_trial_division():
     primes_upto(10**4)
-    start = max(numtheory._prime_cache_limit, 10**7) + 1
+    start = max(numtheory._sieve[0], 10**7) + 1
     rng = random.Random(13)
     samples = list(range(start, start + 2000))
     samples += [rng.randrange(10**8, 10**9) for _ in range(300)]

@@ -191,6 +191,8 @@ def test_period_rows_match_smallest_period(a, b):
         report = smallest_period(prog, k)
         assert (lcm, exceptional, period) == \
             (report.lcm_upto, report.exceptional, report.value), k
+        # Both sides walk the sieve's ladder; lcm_upto does not.
+        assert lcm == lcm_upto(k).value, k
 
 
 def test_period_rows_smallest_ranges():
@@ -200,6 +202,15 @@ def test_period_rows_smallest_ranges():
         assert list(period_rows(prog, 1)) == [(0, 1, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(ValueError):
         list(period_rows(Progression(1, 0), -1))
+
+
+def test_period_rows_run_to_the_end_of_the_ladder(monkeypatch):
+    # From an empty sieve, k_max = 1024 = 2^10 is the sieve's limit and
+    # its last prime power, so the walk uses up the whole ladder.
+    monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+    rows = list(period_rows(Progression(1, 0), 1024))
+    assert numtheory._sieve[0] == 1024
+    assert rows[-1][:2] == (1024, lcm_upto(1024).value)
 
 
 def test_bruteforce_small_examples():
