@@ -7,6 +7,7 @@ integers; nothing ever goes through floating point.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 from bisect import bisect_right
@@ -148,6 +149,14 @@ def _gained(sieve: tuple, lo: int, hi: int) -> tuple:
         primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
         + roots[bisect_right(higher, lo) : bisect_right(higher, hi)]
     )
+
+
+def _ladder(k: int):
+    """The ladder (q, p) of a sieve reaching k, ascending in q: each prime
+    power q = p**j, where lcm(1..q) gains the factor p. Covers every
+    q <= k; it is empty for k <= 1."""
+    _, primes, _, higher, roots = _sieve_upto(k)
+    return heapq.merge(zip(primes, primes), zip(higher, roots))
 
 
 # Checkpoints of lcm(1..m), keyed by m, one every 64 (m = k >> 6 << 6), so

@@ -18,7 +18,6 @@ searches below are independent of it and of the cache: they are oracles.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from .gfun import (
 from .numtheory import (
     FactoredInteger,
     _cached_lcm_upto,
-    _sieve_upto,
+    _ladder,
     factorize,
     integer_log,
     lcm_upto,
@@ -198,16 +197,17 @@ def period_rows(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     ar = prog.a_reduced
-    _, primes, _, higher, roots = _sieve_upto(k_max)
-    ladder = heapq.merge(zip(primes, primes), zip(higher, roots))
-    q, p = next(ladder)
+    ladder = _ladder(k_max)
+    # Past the ladder's end, or with none at all, the sentinel (0, 1)
+    # matches only k = 0, where its factor 1 changes nothing.
+    q, p = next(ladder, (0, 1))
     lcm = removed = 1
     for k in range(k_max + 1):
         if k == q:
             lcm *= p
             if ar % p == 0:
                 removed *= p
-            q, p = next(ladder, (0, 1))  # past the ladder's end: no later k is 0
+            q, p = next(ladder, (0, 1))
         exceptional = exceptional_factor(k, ar)[0]
         yield k, lcm, exceptional, lcm // (exceptional * removed)
 

@@ -204,6 +204,14 @@ def test_period_rows_smallest_ranges():
         list(period_rows(Progression(1, 0), -1))
 
 
+def test_period_rows_from_an_empty_sieve(monkeypatch):
+    # k_max <= 1 leaves the empty sieve as it is, so the ladder is empty.
+    for k_max, rows in ((0, [(0, 1, 1, 1)]), (1, [(0, 1, 1, 1), (1, 1, 1, 1)])):
+        monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+        assert list(period_rows(Progression(1, 0), k_max)) == rows
+        assert numtheory._sieve[0] == 1
+
+
 def test_period_rows_run_to_the_end_of_the_ladder(monkeypatch):
     # From an empty sieve, k_max = 1024 = 2^10 is the sieve's limit and
     # its last prime power, so the walk uses up the whole ladder.
