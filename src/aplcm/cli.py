@@ -29,7 +29,7 @@ from .errors import BudgetExceededError, SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
-    _counted_valuation,
+    _counted_valuations,
     _ratios,
     ratio_valuation_by_counting,
     window_terms,
@@ -230,10 +230,9 @@ def cmd_g(args):
     if args.p is not None:
         # One validated call checks p and prog for the whole range.
         ratio_valuation_by_counting(args.p, prog, first)
-        values = [
-            _counted_valuation(args.p, args.a, args.b, n, args.k)
-            for n in range(lo, hi + 1)
-        ]
+        values = _counted_valuations(
+            args.p, args.a, args.b, lo, hi - lo + 1, args.k
+        )
     else:
         values = _ratios(args.a, args.b, args.k, lo, hi - lo + 1)
     rendered = list(map(str, values))

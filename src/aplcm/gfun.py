@@ -9,7 +9,9 @@ For a progression with difference ``a`` and offset ``b``, a window of
 and ``window_ratio`` is their product divided by their lcm, always an
 exact positive integer. Its valuation at a prime is computed two
 independent ways: directly, and by counting multiples of prime powers
-inside the window.
+inside the window. The count is per window (_counted_valuation) or, for
+a run of consecutive start indices, per range (_counted_valuations),
+which takes one modular inverse per prime power for the whole run.
 """
 
 from __future__ import annotations
@@ -207,17 +209,35 @@ def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
     return total
 
 
+def _counted_valuations(
+    p: int, a: int, b: int, n_lo: int, count: int, k: int
+) -> list[int]:
+    """_counted_valuation at n_lo, ..., n_lo + count - 1, unvalidated.
+
+    One inverse per p**e serves the whole range: the first multiple of
+    p**e in the window at n_lo + i sits at offset (r - i) mod p**e, r
+    that offset at n_lo, so each count is one small-integer expression
+    per index. Every index is computed, none copied from an earlier
+    period, so the period searches still test periodicity.
+    """
+    if a % p == 0:
+        return [0] * count
+    offsets = range(count)
+    total = [0] * count
+    pe = p
+    while pe <= k:
+        r = _first_multiple(pe, a, b, n_lo)
+        total = [t + (k - (r - i) % pe) // pe for t, i in zip(total, offsets)]
+        pe *= p
+    return total
+
+
 def _count_multiples(pe: int, a: int, b: int, n: int, k: int) -> int:
     """count_multiples without validation; pe = p**e, a and b coprime."""
     if math.gcd(a, pe) != 1:
         return 0
     r = _first_multiple(pe, a, b, n)
     return (k - r) // pe + 1 if r <= k else 0
-
-
-def _count_multiples_naive(pe: int, a: int, b: int, n: int, k: int) -> int:
-    """count_multiples by scanning every term; its oracle, unvalidated."""
-    return sum(1 for t in _terms(a, b, n, k) if t % pe == 0)
 
 
 def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:

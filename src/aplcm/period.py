@@ -26,7 +26,7 @@ from .errors import SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
-    _counted_valuation,
+    _counted_valuations,
     _ratios,
     _require_reduced,
     ratio_valuation_by_counting,
@@ -270,7 +270,10 @@ def valuation_period_bruteforce(
     multiples of p**e in a window is p**e-periodic in the start index,
     so p**E is a period of the valuation, and the smallest period of a
     function whose period is a prime power is a divisor, i.e. a smaller
-    power of the same prime.
+    power of the same prime. The search counts each valuation at
+    1..2*p**E from the definition, E steps per index, and compares at
+    most E + 1 spans of p**E, so the budget is charged
+    2 * p**E * (E + 1) before any of it.
     """
     _require_reduced(prog)
     require_prime(p)
@@ -279,12 +282,11 @@ def valuation_period_bruteforce(
     max_exp = integer_log(p, k) if k >= 1 else 0
     span = p**max_exp
     require_budget(
-        span * (k + 1) * (max_exp + 1),
+        2 * span * (max_exp + 1),
         budget,
         f"valuation-period search for p={p}, k={k}",
     )
-    a, b = prog.a, prog.b
-    vals = [_counted_valuation(p, a, b, n, k) for n in range(1, 2 * span + 1)]
+    vals = _counted_valuations(p, prog.a, prog.b, 1, 2 * span, k)
     for e in range(max_exp + 1):
         t = p**e
         if vals[t : t + span] == vals[:span]:

@@ -6,7 +6,10 @@ proof-by-exhaustion at that scale. A suite is a list of cases, each a
 checker and its arguments, and run_suite is the one runner for all of
 them. Sweeps are ordered lexicographically in (k, a, b, n) and random
 suites use fixed seeds, so reports are identical run to run and across
-worker counts.
+worker counts. Checkers over a range of start indices take their
+ratios and counted valuations from gfun's range kernels, once per case;
+their oracles stay direct: valuations of the ratios themselves, and a
+scan that tests every term for each prime power.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from time import perf_counter
 
 from .errors import SelfCheckError
@@ -24,8 +27,7 @@ from .gfun import (
     Progression,
     Window,
     _count_multiples,
-    _count_multiples_naive,
-    _counted_valuation,
+    _counted_valuations,
     _ratios,
     count_multiples,
     ratio_valuation_by_counting,
@@ -218,26 +220,40 @@ def _check_valuation(k, a, b):
     for p in primes:
         # One validated call checks p and prog for every n below.
         ratio_valuation_by_counting(p, prog, Window(1, k))
-    for n, ratio in enumerate(_ratios(a, b, k, 1, 200), 1):
-        for p in primes:
-            direct = _valuation(p, ratio)
-            counted = _counted_valuation(p, a, b, n, k)
-            if direct != counted:
+    ratios = _ratios(a, b, k, 1, 200)
+    direct = [[_valuation(p, ratio) for ratio in ratios] for p in primes]
+    counted = [_counted_valuations(p, a, b, 1, 200, k) for p in primes]
+    if direct == counted:
+        return
+    # Failures are reported n-major, then by p.
+    for i in range(200):
+        for p, by_direct, by_count in zip(primes, direct, counted):
+            if by_direct[i] != by_count[i]:
                 yield FailureRecord(
-                    {"k": k, "a": a, "b": b, "p": p, "n": n}, direct, counted
+                    {"k": k, "a": a, "b": b, "p": p, "n": i + 1},
+                    by_direct[i],
+                    by_count[i],
                 )
 
 
 def _check_window_counts(p, a, b):
     # One validated call checks p and prog for every count below.
     count_multiples(p, 1, Progression(a, b), Window(1, 1))
+    # The oracle tests every term b + i*a, i = 1..67, once per p**e:
+    # hits[e][i] multiples of p**e among the first i, so the window at n
+    # holds hits[e][n + k] - hits[e][n - 1] of them.
+    terms = range(b + a, b + 68 * a, a)
+    hits = {
+        e: [0, *accumulate(t % p**e == 0 for t in terms)] for e in range(1, 5)
+    }
     for k in range(1, 8):
         max_exp = integer_log(p, k) if p <= k else 0
         for e in range(1, 5):
             pe = p**e
+            scan = hits[e]
             for n in range(1, 61):
                 fast = _count_multiples(pe, a, b, n, k)
-                slow = _count_multiples_naive(pe, a, b, n, k)
+                slow = scan[n + k] - scan[n - 1]
                 if fast != slow:
                     yield FailureRecord(
                         {"check": "count", "p": p, "e": e,

@@ -324,6 +324,22 @@ def test_g_valuation_tests_p_once_per_range(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_g_valuation_range_at_a_30_digit_start(capsys, p):
+    # 3 divides a = 15, 13 exceeds k = 12; 2 and 7 count multiples.
+    lo = 10**29 + 12_345
+    hi = lo + 59
+    code, payload, _ = run_json(capsys, "g", "--k", "12", "--a", "15", "--b",
+                                "4", "--n", f"{lo}..{hi}", "--p", str(p),
+                                "--json")
+    assert code == 0
+    prog = Progression(15, 4)
+    assert payload["result"] == [
+        str(ratio_valuation_by_counting(p, prog, Window(n, 12)))
+        for n in range(lo, hi + 1)
+    ]
+
+
 def test_lcm_runs_both_methods_by_default(capsys):
     code, out, _ = run(capsys, "lcm", "--k", "2", "--n", "10")
     assert code == 0 and out.strip() == "660"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -92,24 +93,68 @@ def test_count_multiples_examples():
 
 def test_count_multiples_matches_naive_scan():
     # p divides a in some pairs, and p**e runs past every k. The private
-    # kernels that verify calls agree with the public count; the scan is
-    # its oracle.
+    # kernel that verify calls agrees with the public count; the scan of
+    # every term is its oracle.
     for p in (2, 3, 5):
         for a, b in coprime_pairs(5, 5):
             prog = Progression(a, b)
             for e in range(1, 5):
+                pe = p**e
                 for k in range(8):
                     for n in range(1, 61):
                         w = Window(n, k)
                         fast = count_multiples(p, e, prog, w)
-                        assert fast == gfun._count_multiples(p**e, a, b, n, k)
-                        assert fast == gfun._count_multiples_naive(p**e, a, b, n, k)
+                        assert fast == gfun._count_multiples(pe, a, b, n, k)
+                        assert fast == sum(
+                            t % pe == 0 for t in window_terms(prog, w)
+                        )
 
 
 def test_ratio_valuation_by_counting_examples():
     assert ratio_valuation_by_counting(2, Progression(1, 0), Window(4, 5)) == 3
     assert ratio_valuation_by_counting(2, Progression(1, 0), Window(6, 5)) == 2
     assert ratio_valuation_by_counting(2, Progression(2, 1), Window(7, 4)) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_counted_valuations_match_the_per_window_count(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7, 11, 97])
+        a = rng.choice([p * rng.randint(1, 9), rng.randint(1, 10**6)])
+        b = rng.randint(0, 10**6)
+        if math.gcd(a, b) != 1:
+            continue
+        k = rng.choice([0, rng.randint(1, p - 1) if p > 2 else 1,
+                        rng.randint(1, 300)])
+        big_e = 0
+        while p ** (big_e + 1) <= k:
+            big_e += 1
+        count = rng.choice([0, 1, 2 * p**big_e])
+        n_lo = rng.choice([1, rng.randint(1, 10**9), rng.randint(1, 10**60)])
+        assert gfun._counted_valuations(p, a, b, n_lo, count, k) == [
+            gfun._counted_valuation(p, a, b, n, k)
+            for n in range(n_lo, n_lo + count)
+        ]
+
+
+def test_counted_valuations_edge_cases():
+    # p | a, p > k and k = 0 all give zeros; an empty range gives [].
+    assert gfun._counted_valuations(3, 6, 1, 1, 5, 20) == [0] * 5
+    assert gfun._counted_valuations(11, 1, 0, 10**60, 4, 10) == [0] * 4
+    assert gfun._counted_valuations(2, 1, 0, 7, 3, 0) == [0] * 3
+    assert gfun._counted_valuations(2, 1, 0, 7, 0, 9) == []
+
+
+def test_counted_valuations_match_the_ratio():
+    for k in range(9):
+        for a, b in coprime_pairs(6, 6):
+            prog = Progression(a, b)
+            for p in (2, 3, 5, 7):
+                assert gfun._counted_valuations(p, a, b, 5, 40, k) == [
+                    valuation(p, window_ratio(prog, Window(n, k)))
+                    for n in range(5, 45)
+                ]
 
 
 def test_valuation_paths_agree():

@@ -295,6 +295,17 @@ def test_bruteforce_budget_guard():
         valuation_period_bruteforce(2, Progression(1, 0), 10**60, budget=10**6)
 
 
+@pytest.mark.parametrize("a, b", [(1, 0), (7, 3), (194, 1)])
+@pytest.mark.parametrize("p", [2, 97])
+def test_valuation_period_search_at_large_k_is_under_the_default_budget(p, a, b):
+    # The search is charged 2 * p**E * (E + 1): 229 376 at p = 2 and
+    # 56 454 at p = 97 for k = 10**4, where E = 13 and 2.
+    prog = Progression(a, b)
+    k = 10**4
+    expected = smallest_period(prog, k).per_prime[p]
+    assert valuation_period_bruteforce(p, prog, k) == expected
+
+
 def test_valuation_period_examples():
     assert valuation_period_bruteforce(2, Progression(1, 0), 5) == 4
     assert valuation_period_bruteforce(3, Progression(1, 0), 5) == 1

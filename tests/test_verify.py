@@ -55,6 +55,11 @@ def _count_off_by_one_at_first_window(pe, a, b, n, k):
     return gfun._count_multiples(pe, a, b, n, k) + (n == 1)
 
 
+def _valuations_off_by_one_at_n_lo(p, a, b, n_lo, count, k):
+    counted = gfun._counted_valuations(p, a, b, n_lo, count, k)
+    return [counted[0] + 1, *counted[1:]] if counted else counted
+
+
 # For each cheap suite, one callee in the verify namespace that is made
 # to return a wrong value or raise, and the keys every failure it causes
 # must name.
@@ -88,6 +93,12 @@ INJECTED_FAULTS = [
      {"k", "a", "b"}),
     ("window-counts", "_count_multiples", _count_off_by_one_at_first_window,
      {"check", "p", "e", "a", "b", "k", "n"}),
+    ("valuation-consistency", "_counted_valuations",
+     _valuations_off_by_one_at_n_lo, {"k", "a", "b", "p", "n"}),
+    # Both ranges of a case then hold the same values, which differ from
+    # d**k times the reduced ratio at every k >= 1, as every pair has d > 1.
+    ("scaling", "_ratios", lambda a, b, k, n_lo, count: [n_lo] * count,
+     {"check", "k", "a", "b", "n"}),
     # A closed form whose per-prime table lists no prime disagrees with
     # every search that finds a period above 1.
     pytest.param("prime-period", "smallest_period",
@@ -114,6 +125,12 @@ def test_suite_reports_an_injected_fault(monkeypatch, name, callee, fake, keys):
     assert report.cases_run == cases_run
     for failure in report.failures:
         assert keys <= failure.inputs.keys(), failure
+
+
+def test_every_suite_has_an_injected_fault():
+    # A pytest.param row keeps its arguments in .values.
+    covered = {getattr(row, "values", row)[0] for row in INJECTED_FAULTS}
+    assert covered == set(available_suites())
 
 
 def test_raw_kernel_faults_name_their_checks(monkeypatch):
