@@ -29,9 +29,10 @@ from .errors import BudgetExceededError, SelfCheckError, require_budget
 from .gfun import (
     Progression,
     Window,
+    _counted_valuation,
     _counted_valuations,
     _ratios,
-    ratio_valuation_by_counting,
+    _require_reduced,
     window_terms,
 )
 from .identities import (
@@ -40,7 +41,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import _format_blocks, integer_log, primes_upto
+from .numtheory import _format_blocks, integer_log, primes_upto, require_prime
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -224,17 +225,19 @@ def cmd_period(args):
 def cmd_g(args):
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
-    work = (hi - lo + 1) * (args.k + 1)
-    require_budget(work, resolve_budget(None), "the --n range")
-    first = Window(lo, args.k)  # checks lo and k for the whole range
-    if args.p is not None:
-        # One validated call checks p and prog for the whole range.
-        ratio_valuation_by_counting(args.p, prog, first)
-        values = _counted_valuations(
-            args.p, args.a, args.b, lo, hi - lo + 1, args.k
-        )
+    Window(lo, args.k)  # checks lo and k for the whole range
+    count = hi - lo + 1
+    budget = resolve_budget(None)
+    if args.p is None:
+        require_budget(count * (args.k + 1), budget, "the --n range")
+        values = _ratios(args.a, args.b, args.k, lo, count)
     else:
-        values = _ratios(args.a, args.b, args.k, lo, hi - lo + 1)
+        # Checked once for the range; then one step per index per p**e <= k.
+        _require_reduced(prog)
+        require_prime(args.p)
+        e = integer_log(args.p, args.k) if args.p <= args.k else 0
+        require_budget(count * (e + 1), budget, "the --n range")
+        values = _counted_valuations(args.p, args.a, args.b, lo, count, args.k)
     rendered = list(map(str, values))
     return rendered, rendered, None
 
@@ -290,10 +293,10 @@ def cmd_lcm(args):
 
 def cmd_witness(args):
     prog = Progression(args.a, args.b)
-    n0 = nonperiod_witness(args.p, prog, args.k)
+    n0 = nonperiod_witness(args.p, prog, args.k)  # checks every input
     half = args.p ** (integer_log(args.p, args.k) - 1)
-    before = ratio_valuation_by_counting(args.p, prog, Window(n0, args.k))
-    after = ratio_valuation_by_counting(args.p, prog, Window(n0 + half, args.k))
+    before = _counted_valuation(args.p, args.a, args.b, n0, args.k)
+    after = _counted_valuation(args.p, args.a, args.b, n0 + half, args.k)
     result = {
         "n0": str(n0),
         "shift": str(half),

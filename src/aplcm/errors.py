@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BudgetExceededError", "SelfCheckError"]
+
 
 class BudgetExceededError(Exception):
     """An exhaustive computation would exceed the configured work budget.

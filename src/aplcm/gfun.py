@@ -26,7 +26,6 @@ from .numtheory import require_prime
 __all__ = [
     "Progression",
     "Window",
-    "count_multiples",
     "ratio_valuation_by_counting",
     "window_ratio",
     "window_terms",
@@ -188,7 +187,7 @@ def _require_reduced(prog: Progression) -> None:
 
 def _first_multiple(pe: int, a: int, b: int, n: int) -> int:
     """Offset in [0, pe) of the first term b + (n+i)*a divisible by pe,
-    for a coprime to pe (see count_multiples)."""
+    for a coprime to pe: such a term has i = -b * a^(-1) - n (mod pe)."""
     return (-b * pow(a, -1, pe) - n) % pe
 
 
@@ -233,27 +232,14 @@ def _counted_valuations(
 
 
 def _count_multiples(pe: int, a: int, b: int, n: int, k: int) -> int:
-    """count_multiples without validation; pe = p**e, a and b coprime."""
+    """Number of window terms divisible by pe = p**e in O(1), unvalidated
+    (p prime, a and b coprime): the offsets r, r + pe, ... up to k, r
+    from _first_multiple. 0 when p divides a: a reduced progression then
+    has no term divisible by p at all."""
     if math.gcd(a, pe) != 1:
         return 0
     r = _first_multiple(pe, a, b, n)
     return (k - r) // pe + 1 if r <= k else 0
-
-
-def count_multiples(p: int, e: int, prog: Progression, w: Window) -> int:
-    """Number of window terms divisible by p**e, in O(1).
-
-    A term b + (n+i)*a is divisible by p**e iff
-    i = -b * a^(-1) - n (mod p**e) (the inverse exists since p does not
-    divide a), so the count is the number of such lattice points in
-    [0, k]. Returns 0 when p divides a: a reduced progression then has
-    no term divisible by p at all.
-    """
-    _require_reduced(prog)
-    require_prime(p)
-    if e < 1:
-        raise ValueError(f"exponent e must be >= 1, got {e}")
-    return _count_multiples(p**e, prog.a, prog.b, w.n, w.k)
 
 
 def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:

@@ -10,9 +10,9 @@ exceptional prime with p**E | k + 1; otherwise it is kept. Only the
 primes up to the reduced difference and the prime divisors of k + 1 are
 visited, and the period is lcm(1..k), from numtheory's shared
 checkpoint cache, divided by the blocks that drop out. One sparse table,
-_exponents, states that rule: the factorization and per-prime periods
-over all primes p <= k are read from it on first access. The brute-force
-searches below are independent of it and of the cache: they are oracles.
+_exponents, states that rule: per_prime and closed_form_period, over all
+primes p <= k, are read from it. The brute-force searches below are
+independent of it and of the cache: they are oracles.
 """
 
 from __future__ import annotations
@@ -25,22 +25,21 @@ from dataclasses import dataclass, field
 from .errors import SelfCheckError, require_budget
 from .gfun import (
     Progression,
-    Window,
+    _counted_valuation,
     _counted_valuations,
     _ratios,
     _require_reduced,
-    ratio_valuation_by_counting,
 )
 from .numtheory import (
     FactoredInteger,
     _cached_lcm_upto,
     _ladder,
+    _valuation,
     factorize,
     integer_log,
     lcm_upto,
     primes_upto,
     require_prime,
-    valuation,
 )
 
 __all__ = [
@@ -98,8 +97,8 @@ class PeriodReport:
     both are left out of repr, whose int-to-str conversion could exceed
     the interpreter's digit limit. Derived on first access: exponents,
     the period's exponents other than 1 (see _exponents), and from it
-    closed_form, the period over the primes p <= k, and per_prime, the
-    period of each p-valuation of the ratio (1 where p drops out).
+    per_prime, the period of each p-valuation of the ratio (1 where p
+    drops out). closed_form_period(k, a_reduced) factors the period.
     """
 
     k: int
@@ -115,10 +114,6 @@ class PeriodReport:
     @functools.cached_property
     def exponents(self) -> dict[int, int]:
         return _exponents(self.k, self.exceptional_prime, self.removed_primes)
-
-    @functools.cached_property
-    def closed_form(self) -> FactoredInteger:
-        return _factored(self.k, self.exponents)
 
     @functools.cached_property
     def per_prime(self) -> dict[int, int]:
@@ -215,9 +210,9 @@ def period_rows(
 def closed_form_period(k: int, a: int) -> FactoredInteger:
     """Closed-form smallest period for a reduced difference a >= 1.
 
-    The closed_form of smallest_period(Progression(a, 1), k), derived
-    without multiplying out lcm(1..k); stays public because
-    bench/workloads.py times it.
+    The period of smallest_period(Progression(a, 1), k) factored over
+    the primes p <= k, read from the same exponent table as the report
+    without multiplying out lcm(1..k); bench/workloads.py times it.
     """
     return _factored(k, _exponents(k, *_drops(k, a)[1:]))
 
@@ -321,7 +316,7 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
         raise ValueError(f"{p} divides the difference a={prog.a}")
     require_prime(p)
     max_exp = integer_log(p, k)
-    if valuation(p, k + 1) >= max_exp:
+    if _valuation(p, k + 1) >= max_exp:
         raise ValueError(
             f"valuation of k+1={k + 1} at p={p} reaches the maximal "
             f"exponent {max_exp}; the valuation period is 1 and no "
@@ -336,8 +331,8 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     else:
         residue = (-prog.b * a_inv - (half - 1)) % span
     n0 = residue if residue >= 1 else span
-    before = ratio_valuation_by_counting(p, prog, Window(n0, k))
-    after = ratio_valuation_by_counting(p, prog, Window(n0 + half, k))
+    before = _counted_valuation(p, prog.a, prog.b, n0, k)
+    after = _counted_valuation(p, prog.a, prog.b, n0 + half, k)
     if before == after:
         raise SelfCheckError(
             f"constructed witness n0={n0} fails for p={p}, "

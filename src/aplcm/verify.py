@@ -29,8 +29,7 @@ from .gfun import (
     _count_multiples,
     _counted_valuations,
     _ratios,
-    count_multiples,
-    ratio_valuation_by_counting,
+    _require_reduced,
     window_ratio,
     window_terms,
 )
@@ -48,6 +47,7 @@ from .numtheory import (
     integer_log,
     lcm_upto,
     primes_upto,
+    require_prime,
     valuation,
 )
 from .period import (
@@ -215,11 +215,11 @@ def _check_exceptional(k):
 # --- valuations and counts --------------------------------------------
 
 def _check_valuation(k, a, b):
-    prog = Progression(a, b)
+    # Checked once for every n below.
+    _require_reduced(Progression(a, b))
     primes = primes_upto(k)
     for p in primes:
-        # One validated call checks p and prog for every n below.
-        ratio_valuation_by_counting(p, prog, Window(1, k))
+        require_prime(p)
     ratios = _ratios(a, b, k, 1, 200)
     direct = [[_valuation(p, ratio) for ratio in ratios] for p in primes]
     counted = [_counted_valuations(p, a, b, 1, 200, k) for p in primes]
@@ -237,8 +237,9 @@ def _check_valuation(k, a, b):
 
 
 def _check_window_counts(p, a, b):
-    # One validated call checks p and prog for every count below.
-    count_multiples(p, 1, Progression(a, b), Window(1, 1))
+    # Checked once for every count below.
+    _require_reduced(Progression(a, b))
+    require_prime(p)
     # The oracle tests every term b + i*a, i = 1..67, once per p**e:
     # hits[e][i] multiples of p**e among the first i, so the window at n
     # holds hits[e][n + k] - hits[e][n - 1] of them.

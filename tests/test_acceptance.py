@@ -4,8 +4,13 @@ full sweeps at their stated scale. Run with `pytest -s` to see one
 PASS/FAIL line per criterion.
 """
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
+import aplcm
 from aplcm.gfun import Progression
 from aplcm.period import smallest_period
 from aplcm.verify import CONSECUTIVE_PERIODS, available_suites, run_suite
@@ -106,3 +111,44 @@ def test_odd_progression_periods():
 )
 def test_remaining_suites_pass(name):
     _run(name)
+
+
+# The modules whose __all__ lists make up the package's, in its order.
+PUBLIC_MODULES = ("errors", "gfun", "identities", "numtheory", "period", "verify")
+
+# Public names that nothing in the package or the benchmark calls, each
+# kept for library callers: ratio_valuation_by_counting is the paper's
+# valuation by counting for one window. The program calls its unchecked
+# kernel gfun._counted_valuation once its inputs are checked.
+UNCALLED_PUBLIC_NAMES = {"ratio_valuation_by_counting"}
+
+
+def _loaded_names():
+    """Every name read in src/aplcm (but __init__.py) and bench/, as a
+    variable or an attribute."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in (root / "src" / "aplcm").glob("*.py")
+             if p.name != "__init__.py"]
+    paths += (root / "bench").glob("*.py")
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_public_api_is_stated_once_and_called():
+    modules = [importlib.import_module(f"aplcm.{m}") for m in PUBLIC_MODULES]
+    joined = [name for module in modules for name in module.__all__]
+    assert aplcm.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(aplcm, name) is obj
+            assert getattr(obj, "__module__", module.__name__) == module.__name__
+    assert set(joined) - _loaded_names() == UNCALLED_PUBLIC_NAMES

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import aplcm
-from aplcm import cli, verify
+from aplcm import cli, gfun, verify
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
 from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
@@ -165,10 +165,10 @@ def test_period_renders_from_the_exponent_table_alone(capsys, monkeypatch):
              for a in ("1", "6") for extra in ((), ("--json",))]
     plain = [run(capsys, *argv) for argv in argvs]
 
-    def refuse(report):
-        raise AssertionError("the CLI derived a full map of the report")
+    def refuse(*args):
+        raise AssertionError("the CLI derived a full map of the period")
 
-    monkeypatch.setattr(PeriodReport, "closed_form", property(refuse))
+    monkeypatch.setattr("aplcm.period._factored", refuse)
     monkeypatch.setattr(PeriodReport, "per_prime", property(refuse))
     for argv, (code, out, err) in zip(argvs, plain):
         assert code == 0 and err == ""
@@ -278,6 +278,30 @@ def test_g_range_is_under_the_work_budget(capsys, monkeypatch):
     monkeypatch.delenv("APLCM_BUDGET")
     code, out, err = run(capsys, "g", "--k", "3", "--n", "1..1000000000000")
     assert code == 2 and out == "" and "budget" in err
+
+
+def test_g_valuation_range_is_priced_by_its_prime_powers(capsys, monkeypatch):
+    # --p takes one step per index for each power p**e <= k, plus one:
+    # (HI - LO + 1) * (E + 1), 2 * 24 for p = 2 at k = 10^7.
+    argv = ("g", "--k", "10000000", "--n", "1..2", "--p", "2")
+    code, payload, err = run_json(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    counted = gfun._counted_valuations(2, 1, 0, 1, 2, 10**7)
+    assert payload["result"] == list(map(str, counted))
+    monkeypatch.setenv("APLCM_BUDGET", "47")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "budget 47" in err
+    monkeypatch.setenv("APLCM_BUDGET", "48")
+    assert run(capsys, *argv)[:2] == (0, "".join(f"{v}\n" for v in counted))
+    # A prime above k has no such power: one step per index.
+    monkeypatch.setenv("APLCM_BUDGET", "2")
+    code, out, _ = run(capsys, "g", "--k", "3", "--n", "1..2", "--p", "5")
+    assert code == 0 and out.split() == ["0", "0"]
+    monkeypatch.delenv("APLCM_BUDGET")
+    code, out, err = run(capsys, "g", "--k", "10", "--n", "1..10000000",
+                         "--p", "2")
+    assert code == 2 and out == ""
+    assert re.search(r"the --n range needs work ~2\^\d+ > budget", err)
 
 
 def test_sieve_is_under_the_work_budget(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from aplcm.gfun import (
     _ratio,
     _ratio_scan,
     _ratios,
-    count_multiples,
     ratio_valuation_by_counting,
     window_ratio,
     window_terms,
@@ -86,15 +85,15 @@ def test_ratio_valuation_requires_reduced():
 
 
 def test_count_multiples_examples():
-    assert count_multiples(2, 2, Progression(1, 0), Window(3, 5)) == 2
-    assert count_multiples(2, 1, Progression(2, 1), Window(1, 9)) == 0
-    assert count_multiples(3, 1, Progression(2, 1), Window(1, 3)) == 2
+    # Arguments: p**e, a, b, n, k.
+    assert gfun._count_multiples(4, 1, 0, 3, 5) == 2
+    assert gfun._count_multiples(2, 2, 1, 1, 9) == 0
+    assert gfun._count_multiples(3, 2, 1, 1, 3) == 2
 
 
 def test_count_multiples_matches_naive_scan():
-    # p divides a in some pairs, and p**e runs past every k. The private
-    # kernel that verify calls agrees with the public count; the scan of
-    # every term is its oracle.
+    # p divides a in some pairs, and p**e runs past every k. The scan of
+    # every term is the oracle of the kernel that verify calls.
     for p in (2, 3, 5):
         for a, b in coprime_pairs(5, 5):
             prog = Progression(a, b)
@@ -103,8 +102,7 @@ def test_count_multiples_matches_naive_scan():
                 for k in range(8):
                     for n in range(1, 61):
                         w = Window(n, k)
-                        fast = count_multiples(p, e, prog, w)
-                        assert fast == gfun._count_multiples(pe, a, b, n, k)
+                        fast = gfun._count_multiples(pe, a, b, n, k)
                         assert fast == sum(
                             t % pe == 0 for t in window_terms(prog, w)
                         )
@@ -177,15 +175,13 @@ def test_count_bounds_around_max_exponent():
         for a, b in coprime_pairs(5, 5):
             if a % p == 0:
                 continue
-            prog = Progression(a, b)
             for k in range(1, 8):
                 max_e = 0
                 while p ** (max_e + 1) <= k:
                     max_e += 1
                 for n in range(1, 41):
-                    w = Window(n, k)
                     for e in range(1, max_e + 3):
-                        count = count_multiples(p, e, prog, w)
+                        count = gfun._count_multiples(p**e, a, b, n, k)
                         if e <= max_e:
                             assert count >= 1
                         else:
@@ -302,7 +298,7 @@ def test_counting_valuation_is_the_sum_of_excess_multiples():
                 w = Window(n, k)
                 for p in (2, 3, 5, 7):
                     excess = sum(
-                        max(0, count_multiples(p, e, prog, w) - 1)
+                        max(0, gfun._count_multiples(p**e, a, b, n, k) - 1)
                         for e in range(1, 6)
                     )
                     assert ratio_valuation_by_counting(p, prog, w) == excess
@@ -328,9 +324,3 @@ def test_progression_keeps_equality_hash_and_pickling_with_cached_d():
 def test_window_functions_validate_every_call():
     with pytest.raises(ValueError, match="not prime"):
         ratio_valuation_by_counting(4, Progression(1, 0), Window(1, 5))
-    with pytest.raises(ValueError, match="not prime"):
-        count_multiples(9, 1, Progression(1, 0), Window(1, 5))
-    with pytest.raises(ValueError, match="exponent"):
-        count_multiples(3, 0, Progression(1, 0), Window(1, 5))
-    with pytest.raises(ValueError, match="reduced"):
-        count_multiples(3, 1, Progression(6, 3), Window(1, 5))

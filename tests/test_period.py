@@ -10,7 +10,6 @@ from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import (
     Progression,
     Window,
-    count_multiples,
     ratio_valuation_by_counting,
     window_ratio,
 )
@@ -98,11 +97,12 @@ def test_period_report_identities_hold_across_sweep():
         removed = _product_tree(q**e for q, e in report.removed_primes)
         assert report.value * report.exceptional * removed == lcm_upto(k).value
         assert _product_tree(report.per_prime.values()) == report.value
-        assert report.value == report.closed_form.value
+        closed = closed_form_period(k, report.a_reduced)
+        assert report.value == closed.value
         dropped = {q for q, _ in report.removed_primes}
         dropped.add(report.exceptional_prime)
         kept = {p: e for p, e in lcm_upto(k).factors.items() if p not in dropped}
-        assert report.closed_form.factors == kept
+        assert closed.factors == kept
         # The sparse table: every exponent of the period other than 1.
         exponents = {p: e for p, e in kept.items() if e != 1}
         exponents.update((q, 0) for q in dropped - {None})
@@ -112,20 +112,20 @@ def test_period_report_identities_hold_across_sweep():
 def test_report_derives_its_factorization_on_access():
     report = smallest_period(Progression(6, 1), 10**5)
     assert "exponents" not in vars(report)
-    assert "closed_form" not in vars(report)
     assert "per_prime" not in vars(report)
-    # Before and after the factorization is derived, a pickled report
-    # comes back equal and derives the same factorization.
+    # Before and after the exponent table is derived, a pickled report
+    # comes back equal and derives the same table.
     fresh = pickle.loads(pickle.dumps(report))
-    assert "closed_form" not in vars(fresh)
-    factors = report.closed_form.factors
+    assert "exponents" not in vars(fresh)
+    exponents = report.exponents
     # 2 and 3 divide a, and 100001 = 11 * 9091 absorbs the block 9091.
     assert report.exceptional_prime == 9091
-    assert len(factors) == len(primes_upto(10**5)) - 3
+    assert {p for p, e in exponents.items() if not e} == {2, 3, 9091}
     for copy in (fresh, pickle.loads(pickle.dumps(report))):
         assert copy == report and copy.value == report.value
-        assert copy.closed_form.factors == factors
-    assert closed_form_period(10**5, 6).factors == factors
+        assert copy.exponents == exponents
+    factors = closed_form_period(10**5, report.a_reduced).factors
+    assert len(factors) == len(primes_upto(10**5)) - 3
 
 
 def test_removed_primes_are_the_prime_divisors_of_a_large_difference():
@@ -172,7 +172,8 @@ def test_reprs_of_large_results_convert_no_big_integer():
         report = smallest_period(Progression(1, 0), 10**4)
         factored = lcm_upto(10**4)
         assert factored.value == report.lcm_upto > 10**4300
-        for obj in (report, report.closed_form, factored):
+        closed = closed_form_period(10**4, report.a_reduced)
+        for obj in (report, closed, factored):
             assert repr(obj).startswith(type(obj).__name__)
     finally:
         sys.set_int_max_str_digits(saved)
@@ -410,9 +411,6 @@ def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
 # a Mersenne prime above the bound, where is_prime decides nothing.
 PRIME_TAKERS = {
     "valuation": lambda p: valuation(p, 5),
-    "count_multiples": lambda p: count_multiples(
-        p, 1, Progression(1, 0), Window(1, 5)
-    ),
     "ratio_valuation_by_counting": lambda p: ratio_valuation_by_counting(
         p, Progression(1, 0), Window(1, 5)
     ),

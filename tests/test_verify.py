@@ -43,7 +43,7 @@ def _raise_self_check(*args):
     raise SelfCheckError("injected fault")
 
 
-# Raw kernels that run after a suite's one validated call per case. Each
+# Raw kernels that run after a suite's one check per case. Each
 # fake is wrong at the first window of a case only, which keeps the
 # report small.
 def _bad_first_ratio(a, b, k, n_lo, count):
