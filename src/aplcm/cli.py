@@ -225,7 +225,6 @@ def cmd_period(args):
 def cmd_g(args):
     prog = Progression(args.a, args.b)
     lo, hi = _parse_index_range(args.n)
-    Window(lo, args.k)  # checks lo and k for the whole range
     count = hi - lo + 1
     budget = resolve_budget(None)
     if args.p is None:

@@ -12,6 +12,8 @@ independent ways: directly, and by counting multiples of prime powers
 inside the window. The count is per window (_counted_valuation) or, for
 a run of consecutive start indices, per range (_counted_valuations),
 which takes one modular inverse per prime power for the whole run.
+Both are private and unvalidated; their callers check the progression
+and the prime first.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numtheory import require_prime
-
 __all__ = [
     "Progression",
     "Window",
-    "ratio_valuation_by_counting",
     "window_ratio",
     "window_terms",
 ]
@@ -192,8 +191,8 @@ def _first_multiple(pe: int, a: int, b: int, n: int) -> int:
 
 
 def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
-    """ratio_valuation_by_counting without validation (a, b coprime, p
-    prime).
+    """Valuation of the window ratio at p, unvalidated (a, b coprime, p
+    prime): each multiple of p**e beyond the first adds one factor p.
 
     The multiples of p**e among the k + 1 terms start at offset r, so
     there are (k - r) // p**e of them beyond the first; r < p**e <= k.
@@ -229,28 +228,3 @@ def _counted_valuations(
         total = [t + (k - (r - i) % pe) // pe for t, i in zip(total, offsets)]
         pe *= p
     return total
-
-
-def _count_multiples(pe: int, a: int, b: int, n: int, k: int) -> int:
-    """Number of window terms divisible by pe = p**e in O(1), unvalidated
-    (p prime, a and b coprime): the offsets r, r + pe, ... up to k, r
-    from _first_multiple. 0 when p divides a: a reduced progression then
-    has no term divisible by p at all."""
-    if math.gcd(a, pe) != 1:
-        return 0
-    r = _first_multiple(pe, a, b, n)
-    return (k - r) // pe + 1 if r <= k else 0
-
-
-def ratio_valuation_by_counting(p: int, prog: Progression, w: Window) -> int:
-    """Valuation of window_ratio at p via multiple-counting; never builds
-    the big product.
-
-    For each e up to the largest exponent with p**e <= k, every multiple
-    of p**e in the window beyond the first contributes one factor p to
-    the ratio; higher e contribute nothing since at most one term is
-    divisible by p**e once p**e > k.
-    """
-    _require_reduced(prog)
-    require_prime(p)
-    return _counted_valuation(p, prog.a, prog.b, w.n, w.k)

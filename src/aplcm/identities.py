@@ -1,5 +1,7 @@
-"""Subset-gcd lcm identities, divisibility checks, and period-accelerated
-lcm evaluation with a persisted table of ratio values.
+"""The subset-gcd lcm identity, and period-accelerated lcm evaluation
+with a persisted table of ratio values. The divisibility and
+gcd-transfer identities are checked by the verify suites, not offered
+here.
 """
 
 from __future__ import annotations
@@ -7,23 +9,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, starmap
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, require_budget
-from .gfun import Progression, _ratio, _ratios, _terms
+from .gfun import Progression, _ratios, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
 __all__ = [
-    "GcdTransferReport",
-    "LcmBoundsReport",
     "PeriodTable",
     "build_period_table",
-    "check_gcd_transfer",
-    "check_lcm_bounds",
-    "check_ratio_recursion",
     "fast_lcm",
     "lcm_by_inclusion_exclusion",
     "load_period_table",
@@ -78,111 +73,6 @@ def lcm_by_inclusion_exclusion(xs) -> int:
     if any(e < 0 for e in exponents.values()):
         raise SelfCheckError(f"negative exponent in lcm identity for {xs}")
     return math.prod(p**e for p, e in exponents.items())
-
-
-@dataclass(frozen=True)
-class GcdTransferReport:
-    """Outcome of the order-t gcd-transfer check on two tuples.
-
-    If all gcds of t entries agree between the tuples, the quantity
-    (product / lcm) * prod over subsets of size 2..t-1 of
-    gcd(subset) ** (+1 if odd size else -1) must agree too. When the
-    hypothesis fails the conclusion is not asserted (conclusion_held is
-    None); a failed hypothesis is a legitimate outcome, not an error.
-    """
-
-    t: int
-    hypothesis_held: bool
-    conclusion_held: bool | None
-    invariant_a: Fraction | None
-    invariant_b: Fraction | None
-
-
-def _adjusted_ratio(xs: list[int], t: int) -> Fraction:
-    # Odd-size subset gcds multiply the numerator, even-size ones the
-    # denominator; the fraction is reduced once at the end.
-    num, den = math.prod(xs), math.lcm(*xs)
-    for r in range(2, t):
-        g = math.prod(starmap(math.gcd, combinations(xs, r)))
-        if r % 2 == 1:
-            num *= g
-        else:
-            den *= g
-    return Fraction(num, den)
-
-
-def check_gcd_transfer(xs_a, xs_b, t: int) -> GcdTransferReport:
-    xs_a, xs_b = list(xs_a), list(xs_b)
-    if len(xs_a) != len(xs_b):
-        raise ValueError("tuples must have equal length")
-    n = len(xs_a)
-    if t < 2:
-        raise ValueError(f"order t must be >= 2, got {t}")
-    if n < t:
-        raise ValueError(f"need at least t={t} entries, got {n}")
-    if min(xs_a + xs_b) < 1:
-        raise ValueError("entries must be positive")
-
-    hypothesis = list(starmap(math.gcd, combinations(xs_a, t))) == list(
-        starmap(math.gcd, combinations(xs_b, t))
-    )
-    if not hypothesis:
-        return GcdTransferReport(t, False, None, None, None)
-    inv_a = _adjusted_ratio(xs_a, t)
-    inv_b = _adjusted_ratio(xs_b, t)
-    return GcdTransferReport(t, True, inv_a == inv_b, inv_a, inv_b)
-
-
-@dataclass(frozen=True)
-class LcmBoundsReport:
-    """Divisibility bounds for lcm(n, n+1, ..., n+k):
-    n*C(n+k, k) divides it, and it divides n*C(n+k, k)*lcm of the k-th
-    binomial row.
-    """
-
-    n: int
-    k: int
-    lcm: int
-    lower: int
-    upper: int
-    lower_divides: bool
-    divides_upper: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.lower_divides and self.divides_upper
-
-
-def check_lcm_bounds(n: int, k: int) -> LcmBoundsReport:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    lcm = math.lcm(*range(n, n + k + 1))
-    lower = n * math.comb(n + k, k)
-    upper = lower * math.lcm(*(math.comb(k, j) for j in range(k + 1)))
-    return LcmBoundsReport(
-        n=n,
-        k=k,
-        lcm=lcm,
-        lower=lower,
-        upper=upper,
-        lower_divides=lcm % lower == 0,
-        divides_upper=upper % lcm == 0,
-    )
-
-
-def check_ratio_recursion(k: int, n: int) -> bool:
-    """For consecutive integers (a=1, b=0):
-    ratio_k(n) == gcd(k!, (n + k) * ratio_{k-1}(n)).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    current = _ratio(1, 0, n, k)
-    previous = _ratio(1, 0, n, k - 1)
-    return current == math.gcd(math.factorial(k), (n + k) * previous)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ proof-by-exhaustion at that scale. A suite is a list of cases, each a
 checker and its arguments, and run_suite is the one runner for all of
 them. Sweeps are ordered lexicographically in (k, a, b, n) and random
 suites use fixed seeds, so reports are identical run to run and across
-worker counts. Checkers over a range of start indices take their
-ratios and counted valuations from gfun's range kernels, once per case;
-their oracles stay direct: valuations of the ratios themselves, and a
-scan that tests every term for each prime power.
+worker counts. Identities that only the suites read (the lcm bounds,
+the ratio recursion, the gcd transfer) are stated in their checkers.
+Checkers over a range of start indices take their ratios and counted
+valuations from gfun's range kernels, once per case; their oracles stay
+direct: valuations of the ratios themselves, and a scan that tests
+every term for each prime power.
 """
 
 from __future__ import annotations
@@ -19,25 +21,24 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from fractions import Fraction
+from itertools import accumulate, combinations, islice, starmap
 from time import perf_counter
 
 from .errors import SelfCheckError
 from .gfun import (
     Progression,
     Window,
-    _count_multiples,
     _counted_valuations,
+    _ratio,
     _ratios,
     _require_reduced,
+    _terms,
     window_ratio,
     window_terms,
 )
 from .identities import (
     build_period_table,
-    check_gcd_transfer,
-    check_lcm_bounds,
-    check_ratio_recursion,
     fast_lcm,
     lcm_by_inclusion_exclusion,
 )
@@ -249,34 +250,36 @@ def _check_window_counts(p, a, b):
     }
     for k in range(1, 8):
         max_exp = integer_log(p, k) if p <= k else 0
-        for e in range(1, 5):
-            pe = p**e
-            scan = hits[e]
-            for n in range(1, 61):
-                fast = _count_multiples(pe, a, b, n, k)
-                slow = scan[n + k] - scan[n - 1]
-                if fast != slow:
+        counted = _counted_valuations(p, a, b, 1, 60, k)
+        for n in range(1, 61):
+            counts = [scan[n + k] - scan[n - 1] for scan in hits.values()]
+            # Every multiple of p**e beyond the first adds one factor p;
+            # e <= 4 is enough, as p**3 > k here.
+            excess = sum(c - 1 for c in counts if c > 1)
+            if counted[n - 1] != excess:
+                yield FailureRecord(
+                    {"check": "counted-valuation", "p": p,
+                     "a": a, "b": b, "k": k, "n": n},
+                    excess,
+                    counted[n - 1],
+                )
+            if a % p == 0:
+                continue
+            for e, count in enumerate(counts, 1):
+                if e > max_exp and count > 1:
                     yield FailureRecord(
-                        {"check": "count", "p": p, "e": e,
+                        {"check": "above-threshold", "p": p, "e": e,
                          "a": a, "b": b, "k": k, "n": n},
-                        slow,
-                        fast,
+                        "at most 1",
+                        count,
                     )
-                if a % p != 0:
-                    if e > max_exp and fast > 1:
-                        yield FailureRecord(
-                            {"check": "above-threshold", "p": p, "e": e,
-                             "a": a, "b": b, "k": k, "n": n},
-                            "at most 1",
-                            fast,
-                        )
-                    if e <= max_exp and fast < 1:
-                        yield FailureRecord(
-                            {"check": "below-threshold", "p": p, "e": e,
-                             "a": a, "b": b, "k": k, "n": n},
-                            "at least 1",
-                            fast,
-                        )
+                if e <= max_exp and count < 1:
+                    yield FailureRecord(
+                        {"check": "below-threshold", "p": p, "e": e,
+                         "a": a, "b": b, "k": k, "n": n},
+                        "at least 1",
+                        count,
+                    )
     if a % p != 0:
         # p**e consecutive terms are pairwise incongruent mod p**e.
         for e in (1, 2):
@@ -365,17 +368,24 @@ def _check_window_bound(k, a, b):
 
 
 def _check_lcm_bounds(n, k):
-    report = check_lcm_bounds(n, k)
-    if not report.holds:
+    # n * C(n+k, k) divides lcm(n, ..., n+k), which divides that times
+    # the lcm of the k-th binomial row.
+    lcm = math.lcm(*range(n, n + k + 1))
+    lower = n * math.comb(n + k, k)
+    upper = lower * math.lcm(*(math.comb(k, j) for j in range(k + 1)))
+    if lcm % lower or upper % lcm:
         yield FailureRecord(
             {"check": "lcm-bounds", "n": n, "k": k},
             "lower | lcm | upper",
-            (report.lower, report.lcm, report.upper),
+            (lower, lcm, upper),
         )
 
 
 def _check_recursion(k, n):
-    if not check_ratio_recursion(k, n):
+    # For consecutive integers (a = 1, b = 0):
+    # ratio_k(n) = gcd(k!, (n + k) * ratio_{k-1}(n)).
+    previous = _ratio(1, 0, n, k - 1)
+    if _ratio(1, 0, n, k) != math.gcd(math.factorial(k), (n + k) * previous):
         yield FailureRecord({"check": "recursion", "k": k, "n": n}, True, False)
 
 
@@ -391,20 +401,39 @@ def _check_first_divides(k, n):
 
 # --- shifts and scaling -------------------------------------------------
 
+def _adjusted_ratio(xs, t: int) -> Fraction:
+    # (product / lcm) times the gcds of all subsets of size 2..t-1, odd
+    # sizes in the numerator and even ones in the denominator, reduced once.
+    num, den = math.prod(xs), math.lcm(*xs)
+    for r in range(2, t):
+        g = math.prod(starmap(math.gcd, combinations(xs, r)))
+        if r % 2 == 1:
+            num *= g
+        else:
+            den *= g
+    return Fraction(num, den)
+
+
 def _check_gcd_transfer(k, a, b):
-    prog = Progression(a, b)
+    # Order-t gcd transfer: windows lcm(1..k) apart share all gcds of t
+    # terms (the hypothesis), hence their adjusted ratios (conclusion).
     shift = lcm_upto(k).value
     for n in range(1, 51):
-        terms_a = window_terms(prog, Window(n, k))
-        terms_b = window_terms(prog, Window(n + shift, k))
+        terms_a = _terms(a, b, n, k)
+        terms_b = _terms(a, b, n + shift, k)
         for t in (2, 3) if k >= 2 else (2,):
-            report = check_gcd_transfer(terms_a, terms_b, t)
-            if not report.hypothesis_held or not report.conclusion_held:
-                yield FailureRecord(
-                    {"k": k, "a": a, "b": b, "n": n, "t": t},
-                    "hypothesis and conclusion",
-                    (report.hypothesis_held, report.conclusion_held),
-                )
+            pairs = zip(combinations(terms_a, t), combinations(terms_b, t))
+            if any(math.gcd(*xs) != math.gcd(*ys) for xs, ys in pairs):
+                held = (False, None)
+            elif _adjusted_ratio(terms_a, t) != _adjusted_ratio(terms_b, t):
+                held = (True, False)
+            else:
+                continue
+            yield FailureRecord(
+                {"k": k, "a": a, "b": b, "n": n, "t": t},
+                "hypothesis and conclusion",
+                held,
+            )
 
 
 def _check_periodicity(k, a, b):

@@ -116,12 +116,6 @@ def test_remaining_suites_pass(name):
 # The modules whose __all__ lists make up the package's, in its order.
 PUBLIC_MODULES = ("errors", "gfun", "identities", "numtheory", "period", "verify")
 
-# Public names that nothing in the package or the benchmark calls, each
-# kept for library callers: ratio_valuation_by_counting is the paper's
-# valuation by counting for one window. The program calls its unchecked
-# kernel gfun._counted_valuation once its inputs are checked.
-UNCALLED_PUBLIC_NAMES = {"ratio_valuation_by_counting"}
-
 
 def _loaded_names():
     """Every name read in src/aplcm (but __init__.py) and bench/, as a
@@ -151,4 +145,5 @@ def test_public_api_is_stated_once_and_called():
             obj = getattr(module, name)
             assert getattr(aplcm, name) is obj
             assert getattr(obj, "__module__", module.__name__) == module.__name__
-    assert set(joined) - _loaded_names() == UNCALLED_PUBLIC_NAMES
+    # Every public name has a reader in the package or the benchmark.
+    assert set(joined) - _loaded_names() == set()

@@ -16,8 +16,8 @@ import aplcm
 from aplcm import cli, gfun, verify
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError
-from aplcm.gfun import Progression, Window, ratio_valuation_by_counting
-from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto
+from aplcm.gfun import Progression, Window, window_ratio
+from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto, valuation
 from aplcm.period import PeriodReport, smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
@@ -343,7 +343,7 @@ def test_g_valuation_tests_p_once_per_range(capsys, monkeypatch):
     assert code == 0 and len(calls) <= 2
     prog = Progression(5, 2)
     assert payload["result"] == [
-        str(ratio_valuation_by_counting(p, prog, Window(n, 3)))
+        str(valuation(p, window_ratio(prog, Window(n, 3))))
         for n in range(1, 51)
     ]
 
@@ -359,7 +359,7 @@ def test_g_valuation_range_at_a_30_digit_start(capsys, p):
     assert code == 0
     prog = Progression(15, 4)
     assert payload["result"] == [
-        str(ratio_valuation_by_counting(p, prog, Window(n, 12)))
+        str(valuation(p, window_ratio(prog, Window(n, 12))))
         for n in range(lo, hi + 1)
     ]
 

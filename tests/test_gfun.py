@@ -6,14 +6,13 @@ import tracemalloc
 
 import pytest
 
-from aplcm import gfun
+from aplcm import gfun, verify
 from aplcm.gfun import (
     Progression,
     Window,
     _ratio,
     _ratio_scan,
     _ratios,
-    ratio_valuation_by_counting,
     window_ratio,
     window_terms,
 )
@@ -80,38 +79,22 @@ def test_ratio_valuation():
 
 
 def test_ratio_valuation_requires_reduced():
-    with pytest.raises(ValueError):
-        ratio_valuation_by_counting(2, Progression(4, 2), Window(1, 3))
+    # The one check that every caller of the counted valuations runs.
+    with pytest.raises(ValueError, match="not reduced"):
+        gfun._require_reduced(Progression(4, 2))
+    gfun._require_reduced(Progression(4, 3))
 
 
-def test_count_multiples_examples():
-    # Arguments: p**e, a, b, n, k.
-    assert gfun._count_multiples(4, 1, 0, 3, 5) == 2
-    assert gfun._count_multiples(2, 2, 1, 1, 9) == 0
-    assert gfun._count_multiples(3, 2, 1, 1, 3) == 2
-
-
-def test_count_multiples_matches_naive_scan():
-    # p divides a in some pairs, and p**e runs past every k. The scan of
-    # every term is the oracle of the kernel that verify calls.
-    for p in (2, 3, 5):
-        for a, b in coprime_pairs(5, 5):
-            prog = Progression(a, b)
-            for e in range(1, 5):
-                pe = p**e
-                for k in range(8):
-                    for n in range(1, 61):
-                        w = Window(n, k)
-                        fast = gfun._count_multiples(pe, a, b, n, k)
-                        assert fast == sum(
-                            t % pe == 0 for t in window_terms(prog, w)
-                        )
+def multiples_in_window(pe, prog, w):
+    """Window terms divisible by pe, by testing every term."""
+    return sum(t % pe == 0 for t in window_terms(prog, w))
 
 
 def test_ratio_valuation_by_counting_examples():
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(4, 5)) == 3
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(6, 5)) == 2
-    assert ratio_valuation_by_counting(2, Progression(2, 1), Window(7, 4)) == 0
+    # Arguments: p, a, b, n, k.
+    assert gfun._counted_valuation(2, 1, 0, 4, 5) == 3
+    assert gfun._counted_valuation(2, 1, 0, 6, 5) == 2
+    assert gfun._counted_valuation(2, 2, 1, 7, 4) == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -160,11 +143,10 @@ def test_valuation_paths_agree():
         for a, b in coprime_pairs(6, 6):
             prog = Progression(a, b)
             for n in range(1, 61):
-                w = Window(n, k)
-                ratio = window_ratio(prog, w)
+                ratio = window_ratio(prog, Window(n, k))
                 for p in (2, 3, 5):
                     assert valuation(p, ratio) == \
-                        ratio_valuation_by_counting(p, prog, w)
+                        gfun._counted_valuation(p, a, b, n, k)
 
 
 def test_count_bounds_around_max_exponent():
@@ -175,13 +157,14 @@ def test_count_bounds_around_max_exponent():
         for a, b in coprime_pairs(5, 5):
             if a % p == 0:
                 continue
+            prog = Progression(a, b)
             for k in range(1, 8):
                 max_e = 0
                 while p ** (max_e + 1) <= k:
                     max_e += 1
                 for n in range(1, 41):
                     for e in range(1, max_e + 3):
-                        count = gfun._count_multiples(p**e, a, b, n, k)
+                        count = multiples_in_window(p**e, prog, Window(n, k))
                         if e <= max_e:
                             assert count >= 1
                         else:
@@ -298,10 +281,10 @@ def test_counting_valuation_is_the_sum_of_excess_multiples():
                 w = Window(n, k)
                 for p in (2, 3, 5, 7):
                     excess = sum(
-                        max(0, gfun._count_multiples(p**e, a, b, n, k) - 1)
+                        max(0, multiples_in_window(p**e, prog, w) - 1)
                         for e in range(1, 6)
                     )
-                    assert ratio_valuation_by_counting(p, prog, w) == excess
+                    assert gfun._counted_valuation(p, a, b, n, k) == excess
 
 
 def test_progression_keeps_equality_hash_and_pickling_with_cached_d():
@@ -322,5 +305,9 @@ def test_progression_keeps_equality_hash_and_pickling_with_cached_d():
 
 
 def test_window_functions_validate_every_call():
+    # The window-counts checker calls the counted valuations unvalidated
+    # only after it has checked p and the progression itself.
     with pytest.raises(ValueError, match="not prime"):
-        ratio_valuation_by_counting(4, Progression(1, 0), Window(1, 5))
+        list(verify._check_window_counts(4, 1, 0))
+    with pytest.raises(ValueError, match="not reduced"):
+        list(verify._check_window_counts(2, 4, 2))

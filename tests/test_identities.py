@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,11 +12,7 @@ from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, _ratio, window_ratio, window_terms
 from aplcm.identities import (
     PeriodTable,
-    _adjusted_ratio,
     build_period_table,
-    check_gcd_transfer,
-    check_lcm_bounds,
-    check_ratio_recursion,
     fast_lcm,
     lcm_by_inclusion_exclusion,
     load_period_table,
@@ -68,30 +65,46 @@ def test_inclusion_exclusion_input_guards():
 
 
 def test_gcd_transfer_matching_windows():
-    report = check_gcd_transfer([3, 4, 5, 6], [9, 10, 11, 12], 2)
-    assert report.hypothesis_held and report.conclusion_held
-    assert report.invariant_a == report.invariant_b == Fraction(6)
+    # The windows at n = 3 and 3 + lcm(1..3) share their pairwise gcds,
+    # and the checker finds the same for n = 1..50, t = 2 and 3.
+    assert verify._adjusted_ratio([3, 4, 5, 6], 2) == Fraction(6)
+    assert verify._adjusted_ratio([9, 10, 11, 12], 2) == Fraction(6)
+    for k in range(1, 7):
+        assert not list(verify._check_gcd_transfer(k, 1, 0))
 
 
-def test_gcd_transfer_identical_tuples():
-    for t in (2, 3, 4):
-        report = check_gcd_transfer([6, 10, 15, 21], [6, 10, 15, 21], t)
-        assert report.hypothesis_held and report.conclusion_held
+def test_gcd_transfer_identical_tuples(monkeypatch):
+    # With a shift of 0 the two windows are the same tuple, which meets
+    # the hypothesis and the conclusion at every k, t and n.
+    monkeypatch.setattr(verify, "lcm_upto", lambda k: SimpleNamespace(value=0))
+    for k in range(1, 7):
+        for a, b in ((1, 0), (6, 5)):
+            assert not list(verify._check_gcd_transfer(k, a, b))
 
 
-def test_gcd_transfer_failed_hypothesis():
-    report = check_gcd_transfer([2, 4], [3, 9], 2)
-    assert not report.hypothesis_held
-    assert report.conclusion_held is None and report.invariant_a is None
+def test_gcd_transfer_failed_hypothesis(monkeypatch):
+    # A shift of 1 in place of lcm(1..2) = 2 breaks the shared gcds:
+    # gcd(n, n + 2) is 2 for even n only, so the pairwise gcds of the
+    # windows at n and n + 1 differ at every n. The triple gcds are all 1.
+    monkeypatch.setattr(verify, "lcm_upto", lambda k: SimpleNamespace(value=1))
+    records = list(verify._check_gcd_transfer(2, 1, 0))
+    assert len(records) == 50
+    assert {r.actual for r in records} == {(False, None)}
+    assert records[0].inputs == {"k": 2, "a": 1, "b": 0, "n": 1, "t": 2}
+    assert records[0].expected == "hypothesis and conclusion"
 
 
-def test_gcd_transfer_order_three():
-    # windows shifted by lcm(1..3) = 6 keep all pairwise gcds, hence
-    # all triple gcds, and both adjusted ratios
+def test_gcd_transfer_order_three(monkeypatch):
+    # Windows shifted by lcm(1..3) = 6 keep all pairwise gcds, hence all
+    # triple gcds, and both adjusted ratios.
     xs_a = window_terms(Progression(1, 0), Window(2, 3))
     xs_b = window_terms(Progression(1, 0), Window(8, 3))
-    report = check_gcd_transfer(xs_a, xs_b, 3)
-    assert report.hypothesis_held and report.conclusion_held
+    assert verify._adjusted_ratio(xs_a, 3) == verify._adjusted_ratio(xs_b, 3)
+    # A conclusion that fails where the hypothesis holds is reported.
+    monkeypatch.setattr(verify, "_adjusted_ratio", lambda xs, t: Fraction(xs[0]))
+    records = list(verify._check_gcd_transfer(3, 1, 0))
+    assert len(records) == 50 * 2
+    assert {r.actual for r in records} == {(True, False)}
 
 
 def stepwise_adjusted_ratio(xs, t):
@@ -109,36 +122,23 @@ def test_adjusted_ratio_matches_the_stepwise_product():
     for _ in range(400):
         xs = [rng.randint(1, 300) for _ in range(rng.randint(2, 7))]
         for t in range(2, len(xs) + 1):
-            assert _adjusted_ratio(xs, t) == stepwise_adjusted_ratio(xs, t)
+            assert verify._adjusted_ratio(xs, t) == \
+                stepwise_adjusted_ratio(xs, t)
 
 
-def test_gcd_transfer_validation():
-    with pytest.raises(ValueError):
-        check_gcd_transfer([1, 2], [1, 2, 3], 2)
-    with pytest.raises(ValueError):
-        check_gcd_transfer([1, 2], [1, 2], 3)
-    with pytest.raises(ValueError):
-        check_gcd_transfer([1, 2], [1, 2], 1)
-
-
-def test_lcm_bounds_examples():
-    report = check_lcm_bounds(2, 2)
-    assert (report.lcm, report.lower, report.upper) == (12, 12, 24)
-    assert report.holds
-
-    report = check_lcm_bounds(1, 0)
-    assert (report.lcm, report.lower, report.upper) == (1, 1, 1)
-    assert report.holds
-
-    report = check_lcm_bounds(5, 3)
-    assert (report.lcm, report.lower, report.upper) == (840, 280, 840)
-    assert report.holds
-
-
-def test_lcm_bounds_sweep():
-    for n in range(1, 80):
-        for k in range(8):
-            assert check_lcm_bounds(n, k).holds
+def test_lcm_bounds_examples(monkeypatch):
+    # (lower, lcm, upper): n * C(n+k, k) | lcm(n..n+k) | upper.
+    for n, k in ((2, 2), (1, 0), (5, 3)):
+        assert not list(verify._check_lcm_bounds(n, k))
+    # An lcm one too large, of the window and of the binomial row, breaks
+    # the bounds; the record carries the three values.
+    fake = SimpleNamespace(lcm=lambda *xs: math.lcm(*xs) + 1, comb=math.comb)
+    monkeypatch.setattr(verify, "math", fake)
+    for n, k, values in ((2, 2, (12, 13, 36)), (5, 3, (280, 841, 1120))):
+        (record,) = verify._check_lcm_bounds(n, k)
+        assert record.inputs == {"check": "lcm-bounds", "n": n, "k": k}
+        assert record.expected == "lower | lcm | upper"
+        assert record.actual == values
 
 
 def test_window_divisibility_examples():
@@ -184,16 +184,15 @@ def test_window_divisibility_sweep_includes_unreduced():
                                 (cut % ratio == 0)
 
 
-def test_ratio_recursion_examples():
-    assert check_ratio_recursion(3, 3)
-    assert check_ratio_recursion(1, 5)
-    assert check_ratio_recursion(2, 2)
-
-
-def test_ratio_recursion_sweep():
-    for k in range(1, 7):
-        for n in range(1, 120):
-            assert check_ratio_recursion(k, n)
+def test_ratio_recursion_examples(monkeypatch):
+    # ratio_k(n) = gcd(k!, (n + k) * ratio_{k-1}(n)) for a = 1, b = 0.
+    for k, n in ((3, 3), (1, 5), (2, 2)):
+        assert not list(verify._check_recursion(k, n))
+    # ratio_3(3) = 3*4*5*6 / 60 = 6; a ratio of 7 breaks the identity.
+    monkeypatch.setattr(verify, "_ratio", lambda a, b, n, k: 7)
+    (record,) = verify._check_recursion(3, 3)
+    assert record.inputs == {"check": "recursion", "k": 3, "n": 3}
+    assert (record.expected, record.actual) == (True, False)
 
 
 def test_build_period_table_examples():

@@ -10,7 +10,6 @@ from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import (
     Progression,
     Window,
-    ratio_valuation_by_counting,
     window_ratio,
 )
 from aplcm.numtheory import (
@@ -341,8 +340,8 @@ def test_full_period_is_lcm_of_valuation_periods():
 def test_nonperiod_witness_examples():
     n0 = nonperiod_witness(2, Progression(1, 0), 5)
     assert n0 == 4
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(4, 5)) == 3
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(6, 5)) == 2
+    assert valuation(2, window_ratio(Progression(1, 0), Window(4, 5))) == 3
+    assert valuation(2, window_ratio(Progression(1, 0), Window(6, 5))) == 2
 
     assert nonperiod_witness(3, Progression(1, 0), 9) % 9 == 0
     assert nonperiod_witness(2, Progression(3, 1), 5) == 1
@@ -353,13 +352,13 @@ def test_nonperiod_witness_end_placement_case():
     p**E at offset p**(E-1)-1 instead of the window start."""
     n0 = nonperiod_witness(2, Progression(1, 0), 6)  # 7 mod 4 = 3 > 2
     assert n0 == 3
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(3, 6)) == 3
-    assert ratio_valuation_by_counting(2, Progression(1, 0), Window(5, 6)) == 2
+    assert valuation(2, window_ratio(Progression(1, 0), Window(3, 6))) == 3
+    assert valuation(2, window_ratio(Progression(1, 0), Window(5, 6))) == 2
 
     n0 = nonperiod_witness(3, Progression(1, 0), 15)  # 16 mod 9 = 7 > 6
     assert n0 % 9 == 7
-    assert ratio_valuation_by_counting(3, Progression(1, 0), Window(n0, 15)) == 5
-    assert ratio_valuation_by_counting(3, Progression(1, 0), Window(n0 + 3, 15)) == 4
+    assert valuation(3, window_ratio(Progression(1, 0), Window(n0, 15))) == 5
+    assert valuation(3, window_ratio(Progression(1, 0), Window(n0 + 3, 15))) == 4
 
     assert nonperiod_witness(2, Progression(5, 3), 6) == 4
 
@@ -375,8 +374,8 @@ def test_nonperiod_witness_verified_by_scan():
                 n0 = nonperiod_witness(p, prog, k)
                 assert n0 >= 1
                 half = p ** (max_e - 1)
-                assert ratio_valuation_by_counting(p, prog, Window(n0, k)) != \
-                    ratio_valuation_by_counting(p, prog, Window(n0 + half, k))
+                assert valuation(p, window_ratio(prog, Window(n0, k))) != \
+                    valuation(p, window_ratio(prog, Window(n0 + half, k)))
 
 
 def test_nonperiod_witness_preconditions():
@@ -411,9 +410,6 @@ def test_nonperiod_witness_refuses_p_at_the_primality_bound(monkeypatch):
 # a Mersenne prime above the bound, where is_prime decides nothing.
 PRIME_TAKERS = {
     "valuation": lambda p: valuation(p, 5),
-    "ratio_valuation_by_counting": lambda p: ratio_valuation_by_counting(
-        p, Progression(1, 0), Window(1, 5)
-    ),
     "valuation_period_bruteforce": lambda p: valuation_period_bruteforce(
         p, Progression(1, 0), 5
     ),

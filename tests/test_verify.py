@@ -1,14 +1,15 @@
 import concurrent.futures
+import inspect
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from aplcm import gfun, verify
 from aplcm.errors import SelfCheckError
-from aplcm.identities import GcdTransferReport
 from aplcm.numtheory import integer_log, primes_upto
 from aplcm.verify import available_suites, run_suite
 
@@ -51,10 +52,6 @@ def _bad_first_ratio(a, b, k, n_lo, count):
     return [1_000_000_007] + [1] * (count - 1)
 
 
-def _count_off_by_one_at_first_window(pe, a, b, n, k):
-    return gfun._count_multiples(pe, a, b, n, k) + (n == 1)
-
-
 def _valuations_off_by_one_at_n_lo(p, a, b, n_lo, count, k):
     counted = gfun._counted_valuations(p, a, b, n_lo, count, k)
     return [counted[0] + 1, *counted[1:]] if counted else counted
@@ -84,15 +81,15 @@ INJECTED_FAULTS = [
     ("divisibility", "_ratios", _bad_first_ratio, {"check", "k", "a", "b", "n"}),
     # The product equals the lcm only for pairwise coprime entries.
     ("inclusion-exclusion", "lcm_by_inclusion_exclusion", math.prod, {"xs"}),
-    ("gcd-transfer", "check_gcd_transfer",
-     lambda xs_a, xs_b, t: GcdTransferReport(t, False, None, None, None),
+    # Shifted windows have different first terms, so each conclusion fails.
+    ("gcd-transfer", "_adjusted_ratio", lambda xs, t: Fraction(xs[0]),
      {"k", "a", "b", "n", "t"}),
     ("period-closed-form", "smallest_period_bruteforce", lambda *a: 0,
      {"k", "a", "b"}),
     ("period-decomposition", "smallest_period_bruteforce", lambda *a: 0,
      {"k", "a", "b"}),
-    ("window-counts", "_count_multiples", _count_off_by_one_at_first_window,
-     {"check", "p", "e", "a", "b", "k", "n"}),
+    ("window-counts", "_counted_valuations", _valuations_off_by_one_at_n_lo,
+     {"check", "p", "a", "b", "k", "n"}),
     ("valuation-consistency", "_counted_valuations",
      _valuations_off_by_one_at_n_lo, {"k", "a", "b", "p", "n"}),
     # Both ranges of a case then hold the same values, which differ from
@@ -135,13 +132,28 @@ def test_every_suite_has_an_injected_fault():
 
 def test_raw_kernel_faults_name_their_checks(monkeypatch):
     monkeypatch.setattr(verify, "_ratios", _bad_first_ratio)
-    monkeypatch.setattr(verify, "_count_multiples", _count_off_by_one_at_first_window)
+    monkeypatch.setattr(verify, "_counted_valuations", _valuations_off_by_one_at_n_lo)
     checks = {
         failure.inputs["check"]
         for name in ("divisibility", "window-counts")
         for failure in run_suite(name).failures
     }
-    assert {"window-bound", "count"} <= checks
+    assert {"window-bound", "counted-valuation"} <= checks
+
+
+def test_window_counts_fails_when_the_kernel_skips_p_e_equal_to_k(monkeypatch):
+    # The range kernel with its loop bound pe <= k made pe < k: a window
+    # of k + 1 = p**e + 1 terms then loses the factor p from its second
+    # multiple of p**e.
+    source = inspect.getsource(gfun._counted_valuations)
+    assert source.count("while pe <= k:") == 1
+    namespace = dict(vars(gfun))
+    exec(source.replace("while pe <= k:", "while pe < k:"), namespace)
+    monkeypatch.setattr(verify, "_counted_valuations",
+                        namespace["_counted_valuations"])
+    report = run_suite("window-counts")
+    assert not report.passed
+    assert {f.inputs["check"] for f in report.failures} == {"counted-valuation"}
 
 
 @pytest.mark.parametrize(
