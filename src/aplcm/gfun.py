@@ -7,7 +7,10 @@ For a progression with difference ``a`` and offset ``b``, a window of
     b + n*a, b + (n+1)*a, ..., b + (n+k)*a
 
 and ``window_ratio`` is their product divided by their lcm, always an
-exact positive integer. Its valuation at a prime is computed two
+exact positive integer. Over a run of consecutive start indices it
+comes from _ratios, which carries each part of a window as its lcm and
+its ratio, never its product, and joins two parts with one gcd of
+their lcms. The ratio's valuation at a prime is computed two
 independent ways: directly, and by counting multiples of prime powers
 inside the window. The count is per window (_counted_valuation) or, for
 a run of consecutive start indices, per range (_counted_valuations),
@@ -19,9 +22,9 @@ and the prime first.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import floordiv, mul
 
 __all__ = [
     "Progression",
@@ -110,8 +113,10 @@ def _ratios(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
     """
     w = k + 1
     bits = (b + (n_lo + count + k) * a).bit_length()
-    # A block's suffix lcms and products: 2w ints of up to w * bits bits.
-    blocks = _SCAN_BYTES // (w * (w * bits // 8 + 80))
+    # A block's suffix lists: w lcms of up to w * bits bits, w * bits / 2
+    # on average, and w small ratios, with about 80 bytes of objects
+    # and pointers per entry.
+    blocks = _SCAN_BYTES // (w * (w * bits // 16 + 80))
     if count < 16 or not blocks:
         return [_ratio(a, b, n, k) for n in range(n_lo, n_lo + count)]
     step = blocks * w
@@ -127,38 +132,54 @@ def _ratio_scan(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
     The van Herk / Gil-Werman sliding window: cut the count + k terms
     into blocks of w = k + 1. The window at offset r of block j is the
     suffix of block j from r joined with the prefix of block j + 1 that
-    stops before r, so after one suffix scan and one prefix scan per
-    block each window costs one lcm and one product of two parts.
-    Column r = terms[r::w] holds term r of every block; each scan step
-    maps over all blocks at once.
+    stops before r. Each part carries its lcm L and its ratio R =
+    product / L, never its product, and lcm(x, y) * gcd(x, y) = x * y
+    gives both steps:
+    - a term t joins a part as g = gcd(t, L), L' = (t // g) * L and
+      R' = R * g;
+    - two parts join as R = R_S * R_P * gcd(L_S, L_P).
+    So a join costs one gcd and two small products, and no product of
+    window terms or division of one big number by another is ever
+    formed. Column r = terms[r::w] holds term r of every block; each
+    scan step maps over all blocks at once.
     """
     w = k + 1
     first = b + n_lo * a
     terms = range(first, first + (count + k) * a, a)
     cols = [terms[r::w] for r in range(w)]
-    # The lcm (product) of terms r..k of every block, built from r = k
-    # down and popped from r = 0 up, so each list is freed once used.
-    suf_lcm, suf_prod = [cols[k]], [cols[k]]
+    # A single term has ratio 1. Every list below is as long as cols[k]
+    # or longer, and map stops at its shortest input, which for these
+    # column lengths is exactly the length of out[r::w].
+    ones = [1] * len(cols[k])
+    # Terms r..k of every block, built from r = k down and popped from
+    # r = 0 up, so each list is freed once used.
+    suf_lcm, suf_ratio = [cols[k]], [ones]
     for col in reversed(cols[:k]):
-        suf_lcm.append(list(map(math.lcm, col, suf_lcm[-1])))
-        suf_prod.append(list(map(operator.mul, col, suf_prod[-1])))
+        lcm, ratio = _join_terms(col, suf_lcm[-1], suf_ratio[-1])
+        suf_lcm.append(lcm)
+        suf_ratio.append(ratio)
     out = [0] * count
     # Offset 0 is a whole block; an offset r > 0 window also needs the
-    # prefix of the next block, terms 0..r-1, kept in pre_lcm/pre_prod.
-    # map stops at its shortest input, which for these column lengths
-    # is exactly the length of out[r::w].
-    out[0::w] = map(operator.floordiv, suf_prod.pop(), suf_lcm.pop())
-    pre_lcm = pre_prod = cols[0][1:]
+    # prefix of the next block, terms 0..r-1, kept in pre_lcm/pre_ratio.
+    suf_lcm.pop()
+    out[0::w] = suf_ratio.pop()
+    pre_lcm, pre_ratio = cols[0][1:], ones
     for r in range(1, w):
         out[r::w] = map(
-            operator.floordiv,
-            map(operator.mul, suf_prod.pop(), pre_prod),
-            map(math.lcm, suf_lcm.pop(), pre_lcm),
+            mul,
+            map(mul, suf_ratio.pop(), pre_ratio),
+            map(math.gcd, suf_lcm.pop(), pre_lcm),
         )
         if r < k:
-            pre_lcm = list(map(math.lcm, pre_lcm, cols[r][1:]))
-            pre_prod = list(map(operator.mul, pre_prod, cols[r][1:]))
+            pre_lcm, pre_ratio = _join_terms(cols[r][1:], pre_lcm, pre_ratio)
     return out
+
+
+def _join_terms(col, lcm, ratio) -> tuple[list[int], list[int]]:
+    """Each part (lcm[j], ratio[j]) with the term col[j] added: for
+    g = gcd(t, L) the new part has lcm (t // g) * L and ratio R * g."""
+    g = list(map(math.gcd, col, lcm))
+    return list(map(mul, map(floordiv, col, g), lcm)), list(map(mul, ratio, g))
 
 
 def window_terms(prog: Progression, w: Window) -> list[int]:

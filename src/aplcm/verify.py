@@ -222,7 +222,12 @@ def _check_valuation(k, a, b):
     for p in primes:
         require_prime(p)
     ratios = _ratios(a, b, k, 1, 200)
-    direct = [[_valuation(p, ratio) for ratio in ratios] for p in primes]
+    # The 200 ratios take few distinct values: each is valued once.
+    distinct = set(ratios)
+    direct = []
+    for p in primes:
+        by_value = {r: _valuation(p, r) for r in distinct}
+        direct.append(list(map(by_value.__getitem__, ratios)))
     counted = [_counted_valuations(p, a, b, 1, 200, k) for p in primes]
     if direct == counted:
         return
@@ -350,15 +355,23 @@ def _check_window_bound(k, a, b):
     # product = lcm * ratio and gcd(t0, t1) = d at every n, so product
     # divides lcm * k! * gcd(t0, t1)**k iff ratio divides k! * d**k.
     bound = kfact * d**k
-    for n, ratio in enumerate(_ratios(a, b, k, 1, 200), 1):
-        if bound % ratio != 0:
+    ratios = _ratios(a, b, k, 1, 200)
+    # Each distinct ratio is tested once, and the windows are walked
+    # only for the values that fail.
+    distinct = set(ratios)
+    over_bound = {r for r in distinct if bound % r != 0}
+    # Only reduced progressions have ratios dividing k!.
+    over_kfact = {r for r in distinct if kfact % r != 0} if d == 1 else set()
+    if not over_bound and not over_kfact:
+        return
+    for n, ratio in enumerate(ratios, 1):
+        if ratio in over_bound:
             yield FailureRecord(
                 {"check": "window-bound", "k": k, "a": a, "b": b, "n": n},
                 "ratio divides k! * gcd(t0, t1)**k",
                 f"{ratio} does not divide {bound}",
             )
-        # Only reduced progressions have ratios dividing k!.
-        if d == 1 and kfact % ratio != 0:
+        if ratio in over_kfact:
             yield FailureRecord(
                 {"check": "ratio-divides-factorial",
                  "k": k, "a": a, "b": b, "n": n},
@@ -422,8 +435,8 @@ def _check_gcd_transfer(k, a, b):
         terms_a = _terms(a, b, n, k)
         terms_b = _terms(a, b, n + shift, k)
         for t in (2, 3) if k >= 2 else (2,):
-            pairs = zip(combinations(terms_a, t), combinations(terms_b, t))
-            if any(math.gcd(*xs) != math.gcd(*ys) for xs, ys in pairs):
+            gcds_a = list(starmap(math.gcd, combinations(terms_a, t)))
+            if gcds_a != list(starmap(math.gcd, combinations(terms_b, t))):
                 held = (False, None)
             elif _adjusted_ratio(terms_a, t) != _adjusted_ratio(terms_b, t):
                 held = (True, False)

@@ -237,12 +237,24 @@ def test_range_kernel_matches_the_window_ratio(k):
                 assert _ratios(a, b, k, n_lo, count) == want[:count]
 
 
+@pytest.mark.parametrize("k", [30, 99])
+def test_range_kernel_joins_two_wide_parts(k):
+    # Near n = 10**15 and 10**60 both parts of most windows have lcms of
+    # hundreds to thousands of bits, whose gcd is far from 1.
+    for n_lo in (10**15, 10**60):
+        for a, b in KERNEL_PAIRS:
+            want = [_ratio(a, b, n, k) for n in range(n_lo, n_lo + 3 * k + 4)]
+            for count in (1, k, k + 1, k + 2, 3 * k + 4):
+                assert _ratios(a, b, k, n_lo, count) == want[:count]
+                assert _ratio_scan(a, b, k, n_lo, count) == want[:count]
+
+
 @pytest.mark.parametrize("scan_bytes", [0, 1500, 4000, 10**4])
 def test_range_kernel_chunks_agree(monkeypatch, scan_bytes):
     # From no block per chunk (window by window) to several, with short
     # last chunks.
     monkeypatch.setattr(gfun, "_SCAN_BYTES", scan_bytes)
-    for k in (1, 4, 7):
+    for k in (1, 4, 7, 30):
         for a, b in KERNEL_PAIRS:
             want = [_ratio(a, b, n, k) for n in range(5, 305)]
             for count in (16, k + 17, 100, 300):
