@@ -11,6 +11,10 @@ rendered with its integers as decimal strings, the text output as an
 iterable of lines, consumed only without --json, and None or the message
 of a mismatch, which exits 1. _run does the rest: it renders inputs and
 hands result to json.dumps as it is.
+
+The parser is built once per process, and each call parses a named
+subcommand's arguments in that subcommand's parser alone (_parse).
+Messages cut huge ints with errors._brief; --json keeps every digit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .errors import BudgetExceededError, SelfCheckError, require_budget
+from .errors import BudgetExceededError, SelfCheckError, _brief, require_budget
 from .gfun import (
     Progression,
     Window,
@@ -146,7 +150,7 @@ def _prime_maps(report):
     Every prime has exponent 1 and period p but those in the report's
     sparse exponent table, which are converted apart.
     """
-    names = list(map(str, primes_upto(report.k)))
+    names = [str(p) for p in primes_upto(report.k)]
     periods = dict(zip(names, names))
     factors = dict.fromkeys(names, "1")
     for p, e in report.exponents.items():
@@ -218,7 +222,8 @@ def cmd_period(args):
     }
     mismatch = None
     if agrees is False:
-        mismatch = f"period mismatch: closed form {period}, search {oracle}"
+        mismatch = (f"period mismatch: closed form {_brief(report.value)}, "
+                    f"search {_brief(oracle)}")
     return result, _period_lines(report, result), mismatch
 
 
@@ -237,7 +242,7 @@ def cmd_g(args):
         e = integer_log(args.p, args.k) if args.p <= args.k else 0
         require_budget(count * (e + 1), budget, "the --n range")
         values = _counted_valuations(args.p, args.a, args.b, lo, count, args.k)
-    rendered = list(map(str, values))
+    rendered = [str(v) for v in values]
     return rendered, rendered, None
 
 
@@ -256,6 +261,13 @@ def _acquire_table(prog, k, path, budget):
     return table
 
 
+def _balanced_lcm(terms):
+    """math.lcm(*terms) as a balanced tree of pairwise lcms."""
+    while len(terms) > 1:
+        terms = [*map(math.lcm, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
+    return terms[0]
+
+
 def cmd_lcm(args):
     prog = Progression(args.a, args.b)
     if args.table is not None and args.method == "direct":
@@ -269,15 +281,17 @@ def cmd_lcm(args):
     terms = window_terms(prog, Window(args.n, args.k))
     # Every method answers with this lcm; a period-table value must equal
     # it, so a tampered table file cannot yield a wrong answer unnoticed.
-    lcm = math.lcm(*terms)
+    # math.lcm folds left, so its running lcm grows with every term: from
+    # 48 words of terms in all, a balanced tree is faster.
+    lcm = math.lcm(*terms) if (args.k + 1) * w < 48 else _balanced_lcm(terms)
     period_val = None
     if args.method != "direct":
         table = _acquire_table(prog, args.k, args.table, budget)
         period_val = fast_lcm(table, args.n)
         if period_val != lcm:
             raise SelfCheckError(
-                f"lcm mismatch at n={args.n}: direct {lcm}, "
-                f"period-table {period_val}"
+                f"lcm mismatch at n={_brief(args.n)}: direct {_brief(lcm)}, "
+                f"period-table {_brief(period_val)}"
             )
     # The methods agree, so their fields share one decimal conversion.
     text = str(lcm)
@@ -322,7 +336,7 @@ def cmd_table(args):
     # quadratically in k-max.
     work = args.k_max * (args.k_max + 1) // 2
     require_budget(work, resolve_budget(None), "the rows for k up to k-max")
-    rows = [dict(zip(_ROW_KEYS, map(str, row)))
+    rows = [dict(zip(_ROW_KEYS, [str(x) for x in row]))
             for row in period_rows(prog, args.k_max)]
     return {"rows": rows}, _table_lines(rows), None
 
@@ -337,8 +351,9 @@ def _report_lines(reports):
             f"   {report.elapsed:.2f}s{tail}"
         )
         for failure in report.failures[:MAX_FAILURES_SHOWN]:
-            rendered = " ".join(f"{k}={v}" for k, v in failure.inputs.items())
-            yield f"     {rendered}: expected {failure.expected}, got {failure.actual}"
+            rendered = " ".join(f"{k}={_brief(v)}" for k, v in failure.inputs.items())
+            yield (f"     {rendered}: expected {_brief(failure.expected)}, "
+                   f"got {_brief(failure.actual)}")
         hidden = total - MAX_FAILURES_SHOWN
         if hidden > 0:
             yield f"     ... and {hidden} more"
@@ -460,15 +475,32 @@ def main(argv=None) -> int:
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return _run(build_parser(), argv)
+        return _run(build_parser(), sys.argv[1:] if argv is None else list(argv))
     finally:
         if old_limit is not None:
             sys.set_int_max_str_digits(old_limit)
 
 
+def _parse(parser, argv):
+    """parser.parse_args(argv), with a named subcommand's arguments parsed
+    by its parser alone into the namespace the top-level parser would
+    build. The top-level parser answers the rest: no arguments, help, an
+    unknown name, or arguments the subcommand leaves over.
+    """
+    (choices,) = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    sub = choices.get(argv[0]) if argv else None
+    if sub is not None:
+        known = argparse.Namespace(command=argv[0])
+        args, extras = sub.parse_known_args(argv[1:], known)
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def _run(parser, argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BudgetExceededError, SelfCheckError, require_budget
+from .errors import BudgetExceededError, SelfCheckError, _brief, require_budget
 from .gfun import Progression, _ratios, _terms
 from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
@@ -122,8 +122,8 @@ def fast_lcm(table: PeriodTable, n: int) -> int:
     quotient, remainder = divmod(product, table.values[n % table.period])
     if remainder:
         raise SelfCheckError(
-            f"inexact division at n={n} for (a={table.prog.a}, "
-            f"b={table.prog.b}), k={table.k}: the table does not match "
+            f"inexact division at n={_brief(n)} for (a={_brief(table.prog.a)}, "
+            f"b={_brief(table.prog.b)}), k={_brief(table.k)}: the table does not match "
             "the window, which means the period is wrong"
         )
     return quotient
@@ -142,7 +142,7 @@ def save_period_table(table: PeriodTable, path) -> None:
         f"aplcm-table v1 a={table.prog.a} b={table.prog.b} "
         f"k={table.k} period={table.period}"
     ]
-    lines.extend(str(v) for v in table.values)
+    lines.extend([str(v) for v in table.values])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -154,10 +154,10 @@ def load_period_table(path) -> PeriodTable:
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    a, b, k, period = (int(g) for g in m.groups())
+    a, b, k, period = map(int, m.groups())
     # PeriodTable owns the checks on the period, the count and the entries.
     try:
-        values = tuple(int(line) for line in lines[1:])
+        values = tuple(map(int, lines[1:]))
         return PeriodTable(Progression(a, b), k, period, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

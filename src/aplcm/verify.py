@@ -21,7 +21,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations, islice, starmap
 from time import perf_counter
 
@@ -414,34 +413,41 @@ def _check_first_divides(k, n):
 
 # --- shifts and scaling -------------------------------------------------
 
-def _adjusted_ratio(xs, t: int) -> Fraction:
+def _adjusted_ratio(xs, t: int, pair_gcds) -> tuple[int, int]:
     # (product / lcm) times the gcds of all subsets of size 2..t-1, odd
-    # sizes in the numerator and even ones in the denominator, reduced once.
+    # sizes in the numerator and even ones in the denominator, unreduced;
+    # pair_gcds lists the gcds of size 2.
     num, den = math.prod(xs), math.lcm(*xs)
     for r in range(2, t):
-        g = math.prod(starmap(math.gcd, combinations(xs, r)))
+        g = math.prod(pair_gcds if r == 2 else starmap(math.gcd, combinations(xs, r)))
         if r % 2 == 1:
             num *= g
         else:
             den *= g
-    return Fraction(num, den)
+    return num, den
 
 
 def _check_gcd_transfer(k, a, b):
     # Order-t gcd transfer: windows lcm(1..k) apart share all gcds of t
     # terms (the hypothesis), hence their adjusted ratios (conclusion).
+    # The ratios are compared by cross-multiplying, so none is reduced.
     shift = lcm_upto(k).value
     for n in range(1, 51):
         terms_a = _terms(a, b, n, k)
         terms_b = _terms(a, b, n + shift, k)
         for t in (2, 3) if k >= 2 else (2,):
             gcds_a = list(starmap(math.gcd, combinations(terms_a, t)))
-            if gcds_a != list(starmap(math.gcd, combinations(terms_b, t))):
+            gcds_b = list(starmap(math.gcd, combinations(terms_b, t)))
+            if t == 2:
+                pairs_a, pairs_b = gcds_a, gcds_b
+            if gcds_a != gcds_b:
                 held = (False, None)
-            elif _adjusted_ratio(terms_a, t) != _adjusted_ratio(terms_b, t):
-                held = (True, False)
             else:
-                continue
+                num_a, den_a = _adjusted_ratio(terms_a, t, pairs_a)
+                num_b, den_b = _adjusted_ratio(terms_b, t, pairs_b)
+                if num_a * den_b == num_b * den_a:
+                    continue
+                held = (True, False)
             yield FailureRecord(
                 {"k": k, "a": a, "b": b, "n": n, "t": t},
                 "hypothesis and conclusion",

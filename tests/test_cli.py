@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,8 @@ import pytest
 import aplcm
 from aplcm import cli, gfun, verify
 from aplcm.cli import build_parser, main
-from aplcm.errors import SelfCheckError
-from aplcm.gfun import Progression, Window, window_ratio
+from aplcm.errors import SelfCheckError, _brief
+from aplcm.gfun import Progression, Window, window_ratio, window_terms
 from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto, valuation
 from aplcm.period import PeriodReport, smallest_period
 
@@ -403,6 +404,32 @@ def test_lcm_mismatch_tripwire(capsys, tmp_path):
             assert (code, out, err) == (1, "", expected), (method, json_flag)
 
 
+def test_a_huge_lcm_mismatch_is_one_short_line(capsys, tmp_path):
+    # The tampered table doubles the lcm at even n; n has 20 001 digits.
+    path = tmp_path / "corrupt.txt"
+    path.write_text("aplcm-table v1 a=1 b=0 k=2 period=2\n1\n1\n")
+    code, out, err = run(capsys, "lcm", "--k", "2", "--n", "1" + "0" * 20000,
+                         "--table", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 1024 and err.count("\n") == 1
+    assert err.startswith(
+        "consistency failure: lcm mismatch at n="
+        f"1{'0' * 19}...{'0' * 20} (20001 digits): direct 5{'0' * 19}..."
+    )
+    assert re.search(r" \(60000 digits\), period-table 1\d{19}\.\.\.\d{20} "
+                     r"\(60001 digits\)$", err)
+
+
+def test_brief_cuts_ints_above_100_digits():
+    assert _brief(10**100 - 1) == "9" * 100
+    assert _brief(10**100) == f"1{'0' * 19}...{'0' * 20} (101 digits)"
+    assert _brief(-(10**100) - 7) == f"-1{'0' * 19}...{'0' * 19}7 (101 digits)"
+    # Far past the interpreter's int/str digit limit, which stays in place.
+    assert _brief(7 * 10**9999 + 12) == f"7{'0' * 19}...{'0' * 18}12 (10000 digits)"
+    for value in (0, True, None, "x", (10**200,)):
+        assert _brief(value) == str(value)
+
+
 def test_lcm_malformed_table_files_exit_2_naming_the_file(capsys, tmp_path):
     for name, text in (
         ("period0.txt", "aplcm-table v1 a=1 b=0 k=2 period=0\n"),
@@ -452,6 +479,31 @@ def test_lcm_table_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "lcm", "--k", "2", "--n", "5",
                      "--method", "direct", "--table", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("k, n", [(46, 10**9), (47, 10**9), (22, 10**25),
+                                  (23, 10**25), (100, 10**59 + 12345)])
+def test_lcm_on_both_sides_of_the_tree_crossover(capsys, monkeypatch, k, n):
+    # The terms of (7, 3) near 10^9 fit one 64-bit word and near 10^25 two,
+    # so the tree starts at k = 47 and k = 23: (k + 1) * w reaches 48.
+    calls = []
+    balanced = cli._balanced_lcm
+    monkeypatch.setattr(cli, "_balanced_lcm",
+                        lambda terms: calls.append(len(terms)) or balanced(terms))
+    code, out, err = run(capsys, "lcm", "--k", str(k), "--a", "7", "--b", "3",
+                         "--n", str(n), "--method", "direct")
+    assert code == 0, err
+    with no_int_str_limit():
+        assert out == f"{math.lcm(*window_terms(Progression(7, 3), Window(n, k)))}\n"
+    w = 1 + (3 + (n + k) * 7).bit_length() // 64
+    assert calls == ([k + 1] if (k + 1) * w >= 48 else [])
+
+
+def test_balanced_lcm_is_math_lcm():
+    rng = random.Random(3)
+    for length in range(1, 40):
+        terms = [rng.randrange(1, 10**rng.randint(1, 30)) for _ in range(length)]
+        assert cli._balanced_lcm(terms) == math.lcm(*terms)
 
 
 @needs_digit_limit
@@ -612,6 +664,24 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     assert report["failures"][0]["inputs"] == {"k": "0"}
 
 
+def test_verify_text_cuts_huge_ints_and_json_keeps_them(capsys, monkeypatch):
+    huge = 3 * 10**150 + 1
+    failure = verify.FailureRecord({"k": 2, "n": huge}, 10**100 - 1, huge)
+    report = verify.VerificationReport("fast-lcm", 1, [failure], 0.0)
+    monkeypatch.setattr(cli, "run_suite", lambda *args: report)
+    code, out, _ = run(capsys, "verify", "fast-lcm")
+    cut = "30000000000000000000...00000000000000000001 (151 digits)"
+    assert code == 1
+    assert out.splitlines()[1] == \
+        f"     k=2 n={cut}: expected {'9' * 100}, got {cut}"
+    code, payload, _ = run_json(capsys, "verify", "fast-lcm", "--json")
+    with no_int_str_limit():
+        assert payload["result"][0]["failures"] == [
+            {"inputs": {"k": "2", "n": str(huge)}, "expected": "9" * 100,
+             "actual": str(huge)}
+        ]
+
+
 def test_verify_budget_is_resolved_and_checked(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "exceptional-prime",
                                 "--budget", "123", "--json")
@@ -702,6 +772,75 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+# main parses a named subcommand's arguments with that subcommand's parser
+# alone; each argv here must give what the top-level parser gives.
+DISPATCH_VALID = (
+    ("period", "--k", "7", "--a", "6", "--b", "1", "--verify", "--json"),
+    ("g", "--k", "3", "--n", "1..6", "--p", "2"),
+    ("lcm", "--k", "2", "--n", "10", "--method", "period", "--table", "t.txt"),
+    ("witness", "--k", "5", "--p", "2", "--json"),
+    ("table", "--k-max", "6", "--a", "3"),
+    ("verify", "consecutive-periods", "--budget", "default", "--jobs", "1"),
+    ("period", "--k=5"),
+    ("period", "--k", "5", "--verif"),
+    ("period", "--k", "4", "--k", "5", "--a", "2"),
+    ("verify", "--json", "--", "consecutive-periods"),
+)
+
+DISPATCH_INVALID = (
+    (),
+    ("-h",),
+    ("--h",),
+    ("period", "-h"),
+    ("period", "--h"),
+    ("nope",),
+    ("--", "period", "--k", "5"),
+    ("period", "--k"),
+    ("period", "--k", "x"),
+    # Left over by the subcommand's parser, so the top-level parser says
+    # "aplcm: error: unrecognized arguments".
+    ("period", "--k", "5", "extra"),
+    ("period", "--k", "5", "--frob"),
+    ("lcm", "--k", "2", "--n", "5", "--methd", "direct"),
+)
+
+
+def _parsed_by_the_top_level(capsys, argv):
+    try:
+        parsed = build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    captured = capsys.readouterr()
+    return parsed, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_VALID, ids=" ".join)
+def test_a_subcommand_parses_as_the_top_level_parser_would(
+        capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    parsed, _, _ = _parsed_by_the_top_level(capsys, argv)
+    seen = []
+    parse = cli._parse
+
+    def spy(parser, args):
+        namespace = parse(parser, args)
+        # Taken before the command runs: verify resolves its budget in place.
+        seen.append(list(vars(namespace).items()))
+        return namespace
+
+    monkeypatch.setattr(cli, "_parse", spy)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert seen == [list(vars(parsed).items())]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_INVALID, ids=" ".join)
+def test_usage_help_and_errors_are_the_top_level_parsers(capsys, argv):
+    code, out, err = _parsed_by_the_top_level(capsys, argv)
+    assert type(code) is int
+    assert run(capsys, *argv) == (code, out, err)
+
+
 SHARED_PARSER_SEQUENCE = (
     ("period",),  # argparse usage error: --k is required
     ("period", "--k", "7", "--a", "6", "--b", "1", "--verify"),
@@ -743,15 +882,20 @@ def _fresh_python(*argv):
 
 def test_module_entry_point_runs_in_a_fresh_process():
     # The in-process tests share one parser; this is the per-process path.
-    period, usage = (
+    period, usage, unknown = (
         _fresh_python("-m", "aplcm", *argv)
-        for argv in (("period", "--k", "7", "--json"), ("g", "--k", "3", "--n", "0"))
+        for argv in (("period", "--k", "7", "--json"), ("g", "--k", "3", "--n", "0"),
+                     ("nope",))
     )
     assert period.returncode == 0, period.stderr
     payload = json.loads(period.stdout)
     assert set(payload) == JSON_KEYS
     assert payload["result"]["period"] == "105"
     assert usage.returncode == 2 and "start index" in usage.stderr
+    # argv=None is sys.argv[1:], so the top-level parser names the command.
+    assert unknown.returncode == 2 and unknown.stdout == ""
+    assert unknown.stderr.startswith("usage: aplcm [-h]")
+    assert "aplcm: error: argument command: invalid choice: 'nope'" in unknown.stderr
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -1,8 +1,9 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from types import SimpleNamespace
 
 import pytest
@@ -67,8 +68,8 @@ def test_inclusion_exclusion_input_guards():
 def test_gcd_transfer_matching_windows():
     # The windows at n = 3 and 3 + lcm(1..3) share their pairwise gcds,
     # and the checker finds the same for n = 1..50, t = 2 and 3.
-    assert verify._adjusted_ratio([3, 4, 5, 6], 2) == Fraction(6)
-    assert verify._adjusted_ratio([9, 10, 11, 12], 2) == Fraction(6)
+    assert verify._adjusted_ratio([3, 4, 5, 6], 2, None) == (360, 60)
+    assert verify._adjusted_ratio([9, 10, 11, 12], 2, None) == (11880, 1980)
     for k in range(1, 7):
         assert not list(verify._check_gcd_transfer(k, 1, 0))
 
@@ -99,12 +100,17 @@ def test_gcd_transfer_order_three(monkeypatch):
     # triple gcds, and both adjusted ratios.
     xs_a = window_terms(Progression(1, 0), Window(2, 3))
     xs_b = window_terms(Progression(1, 0), Window(8, 3))
-    assert verify._adjusted_ratio(xs_a, 3) == verify._adjusted_ratio(xs_b, 3)
+    assert Fraction(*verify._adjusted_ratio(xs_a, 3, pair_gcds(xs_a))) == \
+        Fraction(*verify._adjusted_ratio(xs_b, 3, pair_gcds(xs_b)))
     # A conclusion that fails where the hypothesis holds is reported.
-    monkeypatch.setattr(verify, "_adjusted_ratio", lambda xs, t: Fraction(xs[0]))
+    monkeypatch.setattr(verify, "_adjusted_ratio", lambda xs, t, pairs: (xs[0], 1))
     records = list(verify._check_gcd_transfer(3, 1, 0))
     assert len(records) == 50 * 2
     assert {r.actual for r in records} == {(True, False)}
+
+
+def pair_gcds(xs):
+    return list(starmap(math.gcd, combinations(xs, 2)))
 
 
 def stepwise_adjusted_ratio(xs, t):
@@ -122,8 +128,8 @@ def test_adjusted_ratio_matches_the_stepwise_product():
     for _ in range(400):
         xs = [rng.randint(1, 300) for _ in range(rng.randint(2, 7))]
         for t in range(2, len(xs) + 1):
-            assert verify._adjusted_ratio(xs, t) == \
-                stepwise_adjusted_ratio(xs, t)
+            num, den = verify._adjusted_ratio(xs, t, pair_gcds(xs))
+            assert Fraction(num, den) == stepwise_adjusted_ratio(xs, t)
 
 
 def test_lcm_bounds_examples(monkeypatch):
@@ -261,6 +267,15 @@ def test_fast_lcm_detects_corrupt_table():
     table = PeriodTable(Progression(1, 0), 2, 2, (7, 1))
     with pytest.raises(SelfCheckError):
         fast_lcm(table, 10)
+
+
+def test_fast_lcm_names_a_huge_start_index_briefly():
+    # 7 divides none of 10**200, 10**200 + 1 and 10**200 + 2.
+    table = PeriodTable(Progression(1, 0), 2, 2, (7, 1))
+    n = f"1{'0' * 19}...{'0' * 20} (201 digits)"
+    with pytest.raises(SelfCheckError,
+                       match=rf"^inexact division at n={re.escape(n)} "):
+        fast_lcm(table, 10**200)
 
 
 def test_table_roundtrip_is_bit_exact(tmp_path):

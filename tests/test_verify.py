@@ -3,7 +3,6 @@ import inspect
 import math
 import os
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -82,7 +81,7 @@ INJECTED_FAULTS = [
     # The product equals the lcm only for pairwise coprime entries.
     ("inclusion-exclusion", "lcm_by_inclusion_exclusion", math.prod, {"xs"}),
     # Shifted windows have different first terms, so each conclusion fails.
-    ("gcd-transfer", "_adjusted_ratio", lambda xs, t: Fraction(xs[0]),
+    ("gcd-transfer", "_adjusted_ratio", lambda xs, t, pairs: (xs[0], 1),
      {"k", "a", "b", "n", "t"}),
     ("period-closed-form", "smallest_period_bruteforce", lambda *a: 0,
      {"k", "a", "b"}),
