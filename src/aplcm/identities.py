@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, _brief, require_budget
 from .gfun import Progression, _ratios, _terms
-from .numtheory import factorize
 from .period import DEFAULT_BUDGET, smallest_period
 
 __all__ = [
@@ -34,13 +33,15 @@ def lcm_by_inclusion_exclusion(xs) -> int:
         lcm(x_1..x_n) = prod over nonempty subsets S of
                         gcd(S) ** (+1 if |S| odd else -1)
 
-    The singletons give prod(x_i). Subsets are tallied by gcd, not walked
-    one by one: entry x adds {x} with sign +1 and, for each gcd g tallied
-    before it, the subsets S + {x} at gcd(g, x) with the opposite sign.
-    Each distinct gcd is then factorized once into signed exponents per
-    prime; the alternating product as literal rationals would blow up
-    long before n = 20. The cap of 20 stays: x_i = P / p_i, P the product
-    of the first n primes, gives each of the 2**n - 1 subsets its own gcd.
+    The subsets are grouped by their last entry. Those ending in x_i
+    contribute x_i / lcm(gcd(x_1, x_i), ..., gcd(x_{i-1}, x_i)), and that
+    inner lcm is the same identity over fewer entries, so the product is
+    taken by recursion as one exact division per entry: no signed tally
+    and no factoring, and every inner lcm divides its entry. A remainder
+    is a bug and raises SelfCheckError. Only math.gcd is used, so the
+    identity stays independent of math.lcm. The cap of 20 stays: x_i =
+    P / p_i, P the product of the first n primes, gives every subset its
+    own gcd, and the recursion still visits all 2**n - 1 of them.
     """
     xs = list(xs)
     n = len(xs)
@@ -53,26 +54,28 @@ def lcm_by_inclusion_exclusion(xs) -> int:
         )
     if min(xs) < 1:
         raise ValueError("entries must be positive")
+    return _lcm_by_last_entry(xs)
 
-    signed_count: dict[int, int] = {}
+
+def _lcm_by_last_entry(xs) -> int:
+    """lcm_by_inclusion_exclusion without validation: positive entries,
+    any iterable."""
+    lcm, before = 1, []
     for x in xs:
-        for g, c in list(signed_count.items()):
-            h = math.gcd(g, x)
-            # A subset with gcd 1 adds nothing, and neither do its supersets.
-            if h > 1:
-                signed_count[h] = signed_count.get(h, 0) - c
-        signed_count[x] = signed_count.get(x, 0) + 1
-
-    exponents: dict[int, int] = {}
-    for value, count in signed_count.items():
-        if count == 0 or value == 1:
-            continue
-        for p, e in factorize(value).items():
-            exponents[p] = exponents.get(p, 0) + count * e
-
-    if any(e < 0 for e in exponents.values()):
-        raise SelfCheckError(f"negative exponent in lcm identity for {xs}")
-    return math.prod(p**e for p, e in exponents.items())
+        # gcds equal to 1 and repeated gcds leave the inner lcm unchanged.
+        gcds = {math.gcd(y, x) for y in before}
+        gcds.discard(1)
+        before.append(x)
+        if gcds:
+            quotient, rest = divmod(x, _lcm_by_last_entry(gcds))
+            if rest:
+                raise SelfCheckError(
+                    "the lcm of an entry's gcds with the entries before it "
+                    f"does not divide the entry {_brief(x)}"
+                )
+            x = quotient
+        lcm *= x
+    return lcm
 
 
 @dataclass(frozen=True)

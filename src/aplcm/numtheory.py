@@ -1,7 +1,9 @@
 """Exact integer primitives: primes, lcm, valuations, factored integers.
 
 Everything here is pure and works on Python's native arbitrary-precision
-integers; nothing ever goes through floating point.
+integers; nothing ever goes through floating point. Primes come from
+one shared sieve, or from Miller-Rabin above it: there is no second
+source of primes, and no factoring engine.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import SelfCheckError
 __all__ = [
     "FactoredInteger",
     "MILLER_RABIN_BOUND",
-    "factorize",
     "integer_log",
     "is_prime",
     "lcm_many",
@@ -260,31 +261,6 @@ def integer_log(base: int, n: int) -> int:
         e += 1
         power *= base
     return e
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division.
-
-    Meant for the small integers this package manipulates (window terms,
-    subset gcds); not a general-purpose factoring engine.
-    """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 @dataclass(frozen=True)

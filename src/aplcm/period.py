@@ -35,7 +35,6 @@ from .numtheory import (
     _cached_lcm_upto,
     _ladder,
     _valuation,
-    factorize,
     integer_log,
     lcm_upto,
     primes_upto,
@@ -65,18 +64,28 @@ def exceptional_factor(k: int, a: int) -> tuple[int, int | None]:
     Returns (p**E, p) where E is the largest exponent with p**E <= k,
     for the prime p <= k not dividing a whose valuation in k + 1 reaches
     E; returns (1, None) when no prime qualifies. A qualifying prime has
-    E >= 1 and so must divide k + 1: only the prime divisors of k + 1
-    need scanning. At most one prime can qualify; two is a bug.
+    E >= 1 and so must divide k + 1. k + 1 is divided by the sieve's
+    primes up to isqrt(k + 1), each at most k, until p**2 exceeds what
+    is left; a leftover q > 1 is then a prime whose valuation in k + 1 is
+    1, so it qualifies only if q <= k and q**2 > k (E = 1). At most one
+    prime can qualify; two is a bug.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     qualifying = []
-    if k >= 1:
-        for p, vp_k1 in factorize(k + 1).items():
-            if p <= k and a % p != 0 and vp_k1 >= integer_log(p, k):
+    rest = k + 1
+    for p in primes_upto(math.isqrt(rest)):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = _valuation(p, rest)
+            rest //= p**e
+            if a % p != 0 and e >= integer_log(p, k):
                 qualifying.append(p)
+    if 1 < rest <= k < rest * rest and a % rest != 0:
+        qualifying.append(rest)
     if not qualifying:
         return 1, None
     if len(qualifying) > 1:

@@ -253,7 +253,6 @@ def _check_window_counts(p, a, b):
         e: [0, *accumulate(t % p**e == 0 for t in terms)] for e in range(1, 5)
     }
     for k in range(1, 8):
-        max_exp = integer_log(p, k) if p <= k else 0
         counted = _counted_valuations(p, a, b, 1, 60, k)
         for n in range(1, 61):
             counts = [scan[n + k] - scan[n - 1] for scan in hits.values()]
@@ -267,40 +266,6 @@ def _check_window_counts(p, a, b):
                     excess,
                     counted[n - 1],
                 )
-            if a % p == 0:
-                continue
-            for e, count in enumerate(counts, 1):
-                if e > max_exp and count > 1:
-                    yield FailureRecord(
-                        {"check": "above-threshold", "p": p, "e": e,
-                         "a": a, "b": b, "k": k, "n": n},
-                        "at most 1",
-                        count,
-                    )
-                if e <= max_exp and count < 1:
-                    yield FailureRecord(
-                        {"check": "below-threshold", "p": p, "e": e,
-                         "a": a, "b": b, "k": k, "n": n},
-                        "at least 1",
-                        count,
-                    )
-    if a % p != 0:
-        # p**e consecutive terms are pairwise incongruent mod p**e.
-        for e in (1, 2):
-            pe = p**e
-            if pe > 32:
-                continue
-            for n in range(1, 33):
-                residues = {
-                    (b + (n + i) * a) % pe for i in range(pe)
-                }
-                if len(residues) != pe:
-                    yield FailureRecord(
-                        {"check": "distinct-residues", "p": p, "e": e,
-                         "a": a, "b": b, "n": n},
-                        pe,
-                        len(residues),
-                    )
 
 
 # --- lcm identities -----------------------------------------------------

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from aplcm import verify
+from aplcm import identities, verify
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, _ratio, window_ratio, window_terms
 from aplcm.identities import (
@@ -50,10 +50,23 @@ def test_inclusion_exclusion_matches_lcm_up_to_the_cap():
 
 def test_inclusion_exclusion_when_every_subset_has_its_own_gcd():
     # x_i = P / p_i: a subset's gcd is P over the product of its primes,
-    # so all 2**12 - 1 subsets have different gcds.
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    # so all 2**18 - 1 subsets have different gcds.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
     big_p = math.prod(primes)
     assert lcm_by_inclusion_exclusion([big_p // p for p in primes]) == big_p
+
+
+def test_inclusion_exclusion_with_a_large_prime_entry():
+    # 2**61 - 1 is prime; no entry or gcd is ever factored.
+    xs = [2**61 - 1, 6, 10**40]
+    assert lcm_by_inclusion_exclusion(xs) == math.lcm(*xs)
+
+
+def test_inclusion_exclusion_raises_on_an_inexact_step(monkeypatch):
+    # With gcd(3, 5) taken as 2, the inner lcm 2 does not divide 5.
+    monkeypatch.setattr(identities, "math", SimpleNamespace(gcd=lambda x, y: 2))
+    with pytest.raises(SelfCheckError):
+        lcm_by_inclusion_exclusion([3, 5])
 
 
 def test_inclusion_exclusion_input_guards():

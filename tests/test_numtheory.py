@@ -11,7 +11,6 @@ from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
     FactoredInteger,
     _product_tree,
-    factorize,
     integer_log,
     is_prime,
     lcm_many,
@@ -320,16 +319,6 @@ def test_factored_integer_divisors():
     f = FactoredInteger({2: 2, 3: 1, 5: 1})
     brute = [d for d in range(1, f.value + 1) if f.value % d == 0]
     assert f.divisors() == brute
-
-
-def test_factorize_roundtrip():
-    rng = random.Random(2)
-    assert factorize(1) == {}
-    for _ in range(200):
-        n = rng.randint(1, 10**6)
-        factors = factorize(n)
-        assert math.prod(p**e for p, e in factors.items()) == n
-        assert all(is_prime(p) for p in factors)
 
 
 def test_lcm_upto_around_prime_squares():

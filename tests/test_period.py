@@ -15,7 +15,6 @@ from aplcm.gfun import (
 from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
     _product_tree,
-    factorize,
     integer_log,
     lcm_upto,
     primes_upto,
@@ -49,6 +48,29 @@ def test_exceptional_factor_examples():
     assert exceptional_factor(1, 1) == (1, None)
     # the qualifying prime must not divide a
     assert exceptional_factor(5, 3) == (1, None)
+
+
+def _exceptional_by_definition(k, a):
+    """Every prime p <= k, p not dividing a, whose valuation in k + 1
+    reaches integer_log(p, k); at most one."""
+    hits = [p for p in primes_upto(k)
+            if a % p != 0 and valuation(p, k + 1) >= integer_log(p, k)]
+    assert len(hits) <= 1, (k, a, hits)
+    return (hits[0] ** integer_log(hits[0], k), hits[0]) if hits else (1, None)
+
+
+def test_exceptional_factor_matches_its_definition():
+    # k = 3 needs the sieve's primes up to isqrt(k + 1), not isqrt(k);
+    # at k = 11 the leftover 3 of k + 1 = 12 has exponent 2 in lcm(1..11).
+    for k in range(3001):
+        for a in (1, 2, 3, 6, 7, 30):
+            assert exceptional_factor(k, a) == _exceptional_by_definition(k, a), (k, a)
+
+
+def test_exceptional_factor_on_an_empty_sieve(monkeypatch):
+    for k, want in ((0, (1, None)), (1, (1, None)), (2, (1, None)), (3, (2, 2))):
+        monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+        assert exceptional_factor(k, 1) == want
 
 
 def test_closed_form_period_examples():
@@ -133,7 +155,7 @@ def test_removed_primes_are_the_prime_divisors_of_a_large_difference():
     rng = random.Random(20)
     for _ in range(200):
         a, k = rng.randint(1, 10**6), rng.choice((100, 1000, 5000))
-        want = [(p, integer_log(p, k)) for p in sorted(factorize(a)) if p <= k]
+        want = [(p, integer_log(p, k)) for p in primes_upto(k) if a % p == 0]
         assert smallest_period(Progression(a, 1), k).removed_primes == want, (a, k)
 
 
