@@ -45,7 +45,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import _format_blocks, integer_log, primes_upto, require_prime
+from .numtheory import integer_log, primes_upto, require_prime
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -173,8 +173,9 @@ def _lcm_digits(report, period):
 
 
 def _period_lines(report, result):
-    factored = _format_blocks(result["factors"].items(), "1")
-    yield f"period = {result['period']}" + ("" if factored == "1" else f" = {factored}")
+    factors = result["factors"].items()
+    blocks = " * ".join(p if e == "1" else f"{p}^{e}" for p, e in factors)
+    yield f"period = {result['period']}" + (f" = {blocks}" if blocks else "")
     yield f"lcm(1..k) = {result['lcm_upto_k']}"
     yield f"reduced difference = {report.a_reduced}"
     if report.exceptional_prime is None:

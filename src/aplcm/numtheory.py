@@ -1,25 +1,24 @@
-"""Exact integer primitives: primes, lcm, valuations, factored integers.
+"""Exact integer primitives: primes, lcm, valuations.
 
 Everything here is pure and works on Python's native arbitrary-precision
 integers; nothing ever goes through floating point. Primes come from
 one shared sieve, or from Miller-Rabin above it: there is no second
-source of primes, and no factoring engine.
+source of primes, and no factoring engine. lcm(1..k) is a plain int:
+lcm_upto multiplies out its prime-power blocks, independently of the
+checkpoint cache that _cached_lcm_upto keeps for the period.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import SelfCheckError
 
 __all__ = [
-    "FactoredInteger",
     "MILLER_RABIN_BOUND",
     "integer_log",
     "is_prime",
@@ -263,68 +262,16 @@ def integer_log(base: int, n: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer kept as its prime factorization.
+def lcm_upto(k: int) -> int:
+    """lcm(1, 2, ..., k); defined as 1 for k < 2.
 
-    The factorization is the source of truth; ``value``, the product of
-    its blocks, is computed on first access and then kept. Keys are
-    ascending primes with exponents >= 1 (zero exponents are dropped,
-    negatives rejected).
-    """
-
-    factors: dict[int, int]
-
-    def __post_init__(self):
-        canonical: dict[int, int] = {}
-        for p in sorted(self.factors):
-            e = self.factors[p]
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for prime {p}")
-            if e == 0:
-                continue
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            canonical[p] = e
-        object.__setattr__(self, "factors", canonical)
-
-    @classmethod
-    def _from_sieve(cls, factors: dict[int, int]) -> FactoredInteger:
-        """Wrap factors that are canonical by construction (ascending
-        sieve primes, exponents >= 1) without checking them again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "factors", factors)
-        return self
-
-    @functools.cached_property
-    def value(self) -> int:
-        return _product_tree([p**e for p, e in self.factors.items()])
-
-    def divisors(self) -> list[int]:
-        """All positive divisors of the value, ascending."""
-        divs = [1]
-        for p, e in self.factors.items():
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        return sorted(divs)
-
-    def __str__(self) -> str:
-        return _format_blocks(self.factors.items(), 1)
-
-
-def _format_blocks(pairs, one) -> str:
-    """Blocks as "p^e * q": (prime, exponent) pairs, ints or strings; "1" if none."""
-    return " * ".join(f"{p}" if e == one else f"{p}^{e}" for p, e in pairs) or "1"
-
-
-def lcm_upto(k: int) -> FactoredInteger:
-    """lcm(1, 2, ..., k) in factored form; defined as 1 for k < 2.
-
-    The exponent of each prime p <= k is the largest e with p**e <= k,
-    which is 1 for every p above isqrt(k).
+    The balanced product of the blocks p**E, one for each prime p <= k
+    with E the largest exponent such that p**E <= k, which is 1 for every
+    p above isqrt(k). It never reads the checkpoint cache.
     """
     if k < 0:
         raise ValueError(f"lcm_upto requires k >= 0, got {k}")
     root = math.isqrt(k)
-    return FactoredInteger(
-        {p: 1 if p > root else integer_log(p, k) for p in primes_upto(k)}
+    return _product_tree(
+        p if p > root else p ** integer_log(p, k) for p in primes_upto(k)
     )

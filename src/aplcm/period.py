@@ -10,9 +10,9 @@ exceptional prime with p**E | k + 1; otherwise it is kept. Only the
 primes up to the reduced difference and the prime divisors of k + 1 are
 visited, and the period is lcm(1..k), from numtheory's shared
 checkpoint cache, divided by the blocks that drop out. One sparse table,
-_exponents, states that rule: per_prime and closed_form_period, over all
-primes p <= k, are read from it. The brute-force searches below are
-independent of it and of the cache: they are oracles.
+_exponents, states that rule as a plain {p: e} dict: closed_form_period
+and PeriodReport.exponents return it, and per_prime reads it. The
+brute-force searches below are oracles, independent of it and the cache.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .gfun import (
     _require_reduced,
 )
 from .numtheory import (
-    FactoredInteger,
     _cached_lcm_upto,
     _ladder,
     _valuation,
@@ -102,12 +101,11 @@ class PeriodReport:
     """Closed-form smallest period with its provenance.
 
     removed_primes lists (q, E) for primes q dividing the reduced
-    difference, q <= k. value is the period and lcm_upto is lcm(1..k);
-    both are left out of repr, whose int-to-str conversion could exceed
-    the interpreter's digit limit. Derived on first access: exponents,
-    the period's exponents other than 1 (see _exponents), and from it
-    per_prime, the period of each p-valuation of the ratio (1 where p
-    drops out). closed_form_period(k, a_reduced) factors the period.
+    difference, q <= k. value is the period, left out of repr, whose
+    int-to-str conversion could exceed the interpreter's digit limit.
+    Derived on first access: exponents, the period's exponents other
+    than 1 (see _exponents), and from it per_prime, the period of each
+    p-valuation of the ratio (1 where p drops out).
     """
 
     k: int
@@ -118,7 +116,6 @@ class PeriodReport:
     exceptional_prime: int | None
     removed_primes: list[tuple[int, int]]
     value: int = field(repr=False)
-    lcm_upto: int = field(repr=False)
 
     @functools.cached_property
     def exponents(self) -> dict[int, int]:
@@ -151,15 +148,6 @@ def _exponents(k: int, exc_prime: int | None, removed: list) -> dict[int, int]:
     return exps
 
 
-def _factored(k: int, exps: dict[int, int]) -> FactoredInteger:
-    """The period over the primes p <= k, from its exponent table."""
-    kept = dict.fromkeys(primes_upto(k), 1)
-    kept.update(exps)
-    for p in [p for p, e in exps.items() if not e]:
-        del kept[p]
-    return FactoredInteger._from_sieve(kept)
-
-
 def smallest_period(prog: Progression, k: int) -> PeriodReport:
     """Smallest period of n -> window_ratio(prog, Window(n, k)).
 
@@ -175,14 +163,13 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
     ar = prog.a_reduced
     exc_value, _, removed = drops = _drops(k, ar)
     dropped = math.prod((q**e for q, e in removed), start=exc_value)
-    lcm = _cached_lcm_upto(k)
-    value, rest = divmod(lcm, dropped)
+    value, rest = divmod(_cached_lcm_upto(k), dropped)
     if rest:
         raise SelfCheckError(
             f"lcm(1..{k}) is not a multiple of the exceptional factor "
             f"{exc_value} times the removed blocks {removed}"
         )
-    return PeriodReport(k, prog.a, prog.b, ar, *drops, value=value, lcm_upto=lcm)
+    return PeriodReport(k, prog.a, prog.b, ar, *drops, value=value)
 
 
 def period_rows(
@@ -216,14 +203,13 @@ def period_rows(
         yield k, lcm, exceptional, lcm // (exceptional * removed)
 
 
-def closed_form_period(k: int, a: int) -> FactoredInteger:
+def closed_form_period(k: int, a: int) -> dict[int, int]:
     """Closed-form smallest period for a reduced difference a >= 1.
 
-    The period of smallest_period(Progression(a, 1), k) factored over
-    the primes p <= k, read from the same exponent table as the report
-    without multiplying out lcm(1..k); bench/workloads.py times it.
+    The exponents of smallest_period(Progression(a, 1), k), the same
+    sparse table, derived without lcm(1..k); bench/workloads.py times it.
     """
-    return _factored(k, _exponents(k, *_drops(k, a)[1:]))
+    return _exponents(k, *_drops(k, a)[1:])
 
 
 def smallest_period_bruteforce(
@@ -242,18 +228,19 @@ def smallest_period_bruteforce(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    lf = lcm_upto(k)
-    big_l = lf.value
-    divisor_count = math.prod(e + 1 for e in lf.factors.values())
-    require_budget(
-        big_l * (k + 1) * divisor_count, budget, f"full-period search for k={k}"
-    )
+    factors = {p: integer_log(p, k) for p in primes_upto(k)}
+    big_l = lcm_upto(k)
+    work = big_l * (k + 1) * math.prod(e + 1 for e in factors.values())
+    require_budget(work, budget, f"full-period search for k={k}")
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
     a, b = prog.a, prog.b
     ratios = _ratios(a, b, k, 1, big_l)
     # ratios[n - 1] is the ratio at n; t is a period iff the ratios at
     # n + t equal those at n for every n in 1..L: first for n <= L - t,
     # then for the rest, which reads the ratios past L.
-    for t in lf.divisors():
+    for t in sorted(divisors):
         if ratios[t:big_l] == ratios[: big_l - t]:
             # Candidates ascend, so this always adds at least one ratio.
             ratios += _ratios(a, b, k, len(ratios) + 1, big_l + t - len(ratios))

@@ -205,11 +205,27 @@ def _check_prime_period(k, a, b, budget):
                 )
 
 
-def _check_exceptional(k):
+def _check_exceptional(k, expected):
     try:
-        exceptional_factor(k, 1)
+        actual = exceptional_factor(k, 1)
     except SelfCheckError as exc:
-        yield FailureRecord({"k": k}, "at most one prime", str(exc))
+        actual = str(exc)
+    if actual != expected:
+        yield FailureRecord({"k": k}, expected, actual)
+
+
+def _exceptional_cases(budget):
+    # From the definition (a = 1): p qualifies at k exactly when
+    # p**E <= k < p**(E+1) and p**E | k + 1, that is, when k + 1 = m * p**E
+    # with 2 <= m <= p. Every other k expects (1, None).
+    top = 10_000
+    expected = {
+        m * p**e - 1: (p**e, p)
+        for p in primes_upto(top)
+        for e in range(1, integer_log(p, top) + 1)
+        for m in range(2, min(p, (top + 1) // p**e) + 1)
+    }
+    return [(_check_exceptional, k, expected.get(k, (1, None))) for k in range(top + 1)]
 
 
 # --- valuations and counts --------------------------------------------
@@ -396,7 +412,7 @@ def _check_gcd_transfer(k, a, b):
     # Order-t gcd transfer: windows lcm(1..k) apart share all gcds of t
     # terms (the hypothesis), hence their adjusted ratios (conclusion).
     # The ratios are compared by cross-multiplying, so none is reduced.
-    shift = lcm_upto(k).value
+    shift = lcm_upto(k)
     for n in range(1, 51):
         terms_a = _terms(a, b, n, k)
         terms_b = _terms(a, b, n + shift, k)
@@ -421,7 +437,7 @@ def _check_gcd_transfer(k, a, b):
 
 
 def _check_periodicity(k, a, b):
-    shift = lcm_upto(k).value
+    shift = lcm_upto(k)
     base = _ratios(a, b, k, 1, 100)
     moved = _ratios(a, b, k, 1 + shift, 100)
     for n, at_n, shifted in zip(range(1, 101), base, moved):
@@ -487,19 +503,19 @@ def _scaling_cases(budget):
 # --- integer basics -----------------------------------------------------
 
 def _check_lcm_upto(k):
-    factored = lcm_upto(k)
+    lcm = lcm_upto(k)
     iterated = math.lcm(*range(1, k + 1))
-    if factored.value != iterated:
-        yield FailureRecord({"check": "lcm-upto", "k": k}, iterated, factored.value)
+    if lcm != iterated:
+        yield FailureRecord({"check": "lcm-upto", "k": k}, iterated, lcm)
     cached = _cached_lcm_upto(k)
     if cached != iterated:
         yield FailureRecord({"check": "cached-lcm-upto", "k": k}, iterated, cached)
     for p in primes_upto(k):
-        if valuation(p, factored.value) != integer_log(p, k):
+        if valuation(p, lcm) != integer_log(p, k):
             yield FailureRecord(
                 {"check": "prime-power", "k": k, "p": p},
                 integer_log(p, k),
-                valuation(p, factored.value),
+                valuation(p, lcm),
             )
 
 
@@ -544,9 +560,7 @@ SUITES = {
         + [(_check_recursion, k, n) for k in range(1, 9) for n in range(1, 501)]
         + [(_check_first_divides, k, n) for k in range(9) for n in range(1, 501)]
     ),
-    "exceptional-prime": lambda budget: [
-        (_check_exceptional, k) for k in range(10_001)
-    ],
+    "exceptional-prime": _exceptional_cases,
     "odd-progression": lambda budget: (
         _sweep(_check_period, range(9), [(2, 1)], budget)
         + [(_check_odd_frozen_period, k, expected)

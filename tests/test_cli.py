@@ -18,7 +18,14 @@ from aplcm import cli, gfun, verify
 from aplcm.cli import build_parser, main
 from aplcm.errors import SelfCheckError, _brief
 from aplcm.gfun import Progression, Window, window_ratio, window_terms
-from aplcm.numtheory import MILLER_RABIN_BOUND, is_prime, lcm_upto, valuation
+from aplcm.numtheory import (
+    MILLER_RABIN_BOUND,
+    integer_log,
+    is_prime,
+    lcm_upto,
+    primes_upto,
+    valuation,
+)
 from aplcm.period import PeriodReport, smallest_period
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
@@ -84,24 +91,25 @@ def test_period_output_is_pinned(capsys):
     assert digest.hexdigest() == PERIOD_OUTPUT_DIGEST
 
 
-def _period_result(report, lf):
-    """The JSON result of `period` rendered field by field, its two prime
-    maps from lf = lcm_upto(k), not from the report's exponent table: a
-    prime drops out when it divides the reduced difference or its block
-    p^E divides k + 1."""
+def _period_result(report, lcm, blocks):
+    """The JSON result of `period` rendered field by field, lcm_upto_k
+    from lcm = lcm_upto(k) and its two prime maps from blocks, the
+    exponent E of every prime p <= k, not from the report's exponent
+    table: a prime drops out when it divides the reduced difference or
+    its block p^E divides k + 1."""
     k, ar = report.k, report.a_reduced
-    dropped = {p for p, e in lf.factors.items() if ar % p == 0 or (k + 1) % p**e == 0}
+    dropped = {p for p, e in blocks.items() if ar % p == 0 or (k + 1) % p**e == 0}
     return {
         "period": str(report.value),
-        "factors": {str(p): str(e) for p, e in lf.factors.items() if p not in dropped},
-        "lcm_upto_k": str(lf.value),
+        "factors": {str(p): str(e) for p, e in blocks.items() if p not in dropped},
+        "lcm_upto_k": str(lcm),
         "a_reduced": str(ar),
         "exceptional_factor": str(report.exceptional),
         "exceptional_prime": None if report.exceptional_prime is None
         else str(report.exceptional_prime),
         "removed_primes": [[str(q), str(e)] for q, e in report.removed_primes],
         "per_prime_periods": {
-            str(p): "1" if p in dropped else str(p**e) for p, e in lf.factors.items()
+            str(p): "1" if p in dropped else str(p**e) for p, e in blocks.items()
         },
         "oracle": None,
         "oracle_agrees": None,
@@ -111,18 +119,19 @@ def _period_result(report, lf):
 def test_period_json_renders_the_report(capsys):
     # The CLI shares one string per prime between the two maps and builds
     # lcm_upto_k from the period's digits; this renders every field on its
-    # own, with lcm(1..k) and the two maps from numtheory.lcm_upto. At
+    # own, with lcm(1..k) from numtheory.lcm_upto and the two maps from
+    # every prime's exponent in it. At
     # k = 7 the exceptional block is 2^2, except for (30, 1), which has
     # none; (6, 4) is not reduced; every pair but (1, 0) removes primes.
     for k in (*range(201), 1000, 8400, 20000):
-        lf = lcm_upto(k)
+        lcm, blocks = lcm_upto(k), {p: integer_log(p, k) for p in primes_upto(k)}
         for a, b in ((1, 0), (6, 4), (30, 1), (35, 12), (7, 3)):
             argv = ("period", "--k", str(k), "--a", str(a), "--b", str(b))
             code, payload, _ = run_json(capsys, *argv, "--json")
             assert code == 0, argv
             result = payload["result"]
             with no_int_str_limit():
-                want = _period_result(smallest_period(Progression(a, b), k), lf)
+                want = _period_result(smallest_period(Progression(a, b), k), lcm, blocks)
             assert result == want, argv
             assert list(result) == list(want), argv
             for key in ("factors", "per_prime_periods"):
@@ -160,8 +169,8 @@ def test_a_rounded_lcm_upto_k_is_never_printed(capsys, monkeypatch):
 
 
 def test_period_renders_from_the_exponent_table_alone(capsys, monkeypatch):
-    # Neither pi(k)-sized map of the report is built: the CLI reads the
-    # sparse exponent table and the sieve's primes.
+    # The report's pi(k)-sized per_prime map is not built: the CLI reads
+    # the sparse exponent table and the sieve's primes.
     argvs = [("period", "--k", "1000", "--a", a, "--b", "1", *extra)
              for a in ("1", "6") for extra in ((), ("--json",))]
     plain = [run(capsys, *argv) for argv in argvs]
@@ -169,7 +178,6 @@ def test_period_renders_from_the_exponent_table_alone(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the CLI derived a full map of the period")
 
-    monkeypatch.setattr("aplcm.period._factored", refuse)
     monkeypatch.setattr(PeriodReport, "per_prime", property(refuse))
     for argv, (code, out, err) in zip(argvs, plain):
         assert code == 0 and err == ""
@@ -590,13 +598,13 @@ def test_lcm_upto_k_matches_lcm_upto(capsys):
         code, payload, _ = run_json(capsys, "period", "--k", "60", "--a", str(a),
                                     "--b", str(b), "--json")
         assert code == 0
-        assert payload["result"]["lcm_upto_k"] == str(lcm_upto(60).value)
+        assert payload["result"]["lcm_upto_k"] == str(lcm_upto(60))
         code, payload, _ = run_json(capsys, "table", "--k-max", "60", "--a", str(a),
                                     "--b", str(b), "--json")
         assert code == 0
         rows = payload["result"]["rows"]
         assert [row["lcm_upto_k"] for row in rows] == \
-            [str(lcm_upto(k).value) for k in range(61)]
+            [str(lcm_upto(k)) for k in range(61)]
 
 
 def test_table_rows_come_from_one_pass(capsys, monkeypatch):
@@ -649,7 +657,7 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0].startswith("FAIL exceptional-prime")
     assert lines[0].endswith("   10001 failures")
-    assert lines[1] == "     k=0: expected at most one prime, got injected fault at k=0"
+    assert lines[1] == "     k=0: expected (1, None), got injected fault at k=0"
     assert len(lines) == 1 + 20 + 1
     assert lines[-1] == "     ... and 9981 more"
 

@@ -194,7 +194,7 @@ def test_scaling_by_gcd_power():
 
 def test_shift_by_lcm_preserves_ratio():
     for k in range(6):
-        shift = lcm_upto(k).value
+        shift = lcm_upto(k)
         for a in range(1, 7):
             for b in range(7):
                 prog = Progression(a, b)

@@ -90,7 +90,7 @@ def test_gcd_transfer_matching_windows():
 def test_gcd_transfer_identical_tuples(monkeypatch):
     # With a shift of 0 the two windows are the same tuple, which meets
     # the hypothesis and the conclusion at every k, t and n.
-    monkeypatch.setattr(verify, "lcm_upto", lambda k: SimpleNamespace(value=0))
+    monkeypatch.setattr(verify, "lcm_upto", lambda k: 0)
     for k in range(1, 7):
         for a, b in ((1, 0), (6, 5)):
             assert not list(verify._check_gcd_transfer(k, a, b))
@@ -100,7 +100,7 @@ def test_gcd_transfer_failed_hypothesis(monkeypatch):
     # A shift of 1 in place of lcm(1..2) = 2 breaks the shared gcds:
     # gcd(n, n + 2) is 2 for even n only, so the pairwise gcds of the
     # windows at n and n + 1 differ at every n. The triple gcds are all 1.
-    monkeypatch.setattr(verify, "lcm_upto", lambda k: SimpleNamespace(value=1))
+    monkeypatch.setattr(verify, "lcm_upto", lambda k: 1)
     records = list(verify._check_gcd_transfer(2, 1, 0))
     assert len(records) == 50
     assert {r.actual for r in records} == {(False, None)}

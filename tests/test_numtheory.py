@@ -9,7 +9,6 @@ from aplcm import numtheory
 from aplcm.errors import SelfCheckError
 from aplcm.numtheory import (
     MILLER_RABIN_BOUND,
-    FactoredInteger,
     _product_tree,
     integer_log,
     is_prime,
@@ -147,7 +146,7 @@ def test_cached_lcm_upto_is_exact_at_checkpoint_boundaries(monkeypatch):
     for j in (1, 2, 3, 4, 5, 16, 100, 500, 1000, 1100, 1483, 1484):
         ks.update((64 * j - 1, 64 * j, 64 * j + 1))
     assert max(ks) <= 95_000
-    expected = {k: lcm_upto(k).value for k in ks}
+    expected = {k: lcm_upto(k) for k in ks}
     ascending = sorted(expected)
     shuffled = random.Random(19).sample(ascending, len(ascending))
     # Descending from an empty state, so most checkpoints are divided from
@@ -198,7 +197,7 @@ def test_a_checkpoint_beyond_the_sieve_is_never_divided_from(monkeypatch):
     assert above in numtheory._checkpoints
     monkeypatch.setattr(numtheory, "_sieve", sieve)
     k = above - 64
-    assert numtheory._cached_lcm_upto(k) == lcm_upto(k).value
+    assert numtheory._cached_lcm_upto(k) == lcm_upto(k)
     assert numtheory._sieve is sieve and k <= limit < above
 
 
@@ -268,63 +267,32 @@ def test_integer_log_sandwich():
 
 
 def test_lcm_upto_values():
-    assert lcm_upto(0).value == 1 and lcm_upto(0).factors == {}
-    assert lcm_upto(6).value == 60
-    assert lcm_upto(6).factors == {2: 2, 3: 1, 5: 1}
-    assert lcm_upto(10).value == 2520
-    assert lcm_upto(10).factors == {2: 3, 3: 2, 5: 1, 7: 1}
+    assert lcm_upto(0) == 1
+    assert lcm_upto(6) == 60
+    assert lcm_upto(10) == 2520
 
 
 def test_lcm_upto_matches_iterated_lcm():
     for k in range(1, 41):
-        assert lcm_upto(k).value == math.lcm(*range(1, k + 1))
+        assert lcm_upto(k) == math.lcm(*range(1, k + 1))
 
 
 def test_lcm_upto_matches_math_lcm_at_larger_k():
     for k in (1000, 5000):
-        assert lcm_upto(k).value == math.lcm(*range(1, k + 1))
+        assert lcm_upto(k) == math.lcm(*range(1, k + 1))
 
 
 def test_lcm_upto_exponents_are_max_powers():
     for k in range(1, 31):
-        value = lcm_upto(k).value
+        value = lcm_upto(k)
         for p in primes_upto(k):
             assert valuation(p, value) == integer_log(p, k)
-
-
-def test_factored_integer_canonical():
-    f = FactoredInteger({5: 1, 2: 2, 3: 0})
-    assert list(f.factors) == [2, 5]
-    assert f.value == 20
-    assert str(f) == "2^2 * 5"
-    assert str(FactoredInteger({})) == "1"
-
-
-def test_factored_integer_rejects_bad_factors():
-    with pytest.raises(ValueError):
-        FactoredInteger({4: 1})
-    with pytest.raises(ValueError):
-        FactoredInteger({2: -1})
-
-
-def test_factored_integer_rejects_composites_with_warm_sieve():
-    primes_upto(10**4)
-    with pytest.raises(ValueError):
-        FactoredInteger({4: 1})
-    with pytest.raises(ValueError):
-        FactoredInteger({1_000_003 * 3: 1})
-
-
-def test_factored_integer_divisors():
-    f = FactoredInteger({2: 2, 3: 1, 5: 1})
-    brute = [d for d in range(1, f.value + 1) if f.value % d == 0]
-    assert f.divisors() == brute
 
 
 def test_lcm_upto_around_prime_squares():
     for p in primes_upto(31):
         for k in (p * p - 1, p * p, p * p + 1):
-            assert lcm_upto(k).value == math.lcm(*range(1, k + 1)), k
+            assert lcm_upto(k) == math.lcm(*range(1, k + 1)), k
 
 
 def test_is_prime_above_the_sieve_matches_trial_division():

@@ -75,7 +75,8 @@ def test_exceptional_factor_on_an_empty_sieve(monkeypatch):
 
 def test_closed_form_period_examples():
     for k, a, expected in ((2, 1, 2), (3, 1, 3), (5, 2, 5), (0, 7, 1)):
-        assert closed_form_period(k, a).value == expected
+        exponents = closed_form_period(k, a)
+        assert math.prod(p ** exponents.get(p, 1) for p in primes_upto(k)) == expected
 
 
 def test_closed_form_matches_bruteforce_for_coprime_pairs():
@@ -103,7 +104,7 @@ def test_period_report_structure():
     assert report.removed_primes == [(2, 2)]
     # period * exceptional * removed prime powers recovers lcm(1..k)
     removed = math.prod(q**e for q, e in report.removed_primes)
-    assert report.value * report.exceptional * removed == lcm_upto(5).value
+    assert report.value * report.exceptional * removed == lcm_upto(5)
     # per-prime entries multiply to the period and cover all primes <= k
     assert list(report.per_prime) == primes_upto(5)
     assert math.prod(report.per_prime.values()) == report.value
@@ -116,18 +117,16 @@ def test_period_report_identities_hold_across_sweep():
     for k, a, b in cases:
         report = smallest_period(Progression(a, b), k)
         removed = _product_tree(q**e for q, e in report.removed_primes)
-        assert report.value * report.exceptional * removed == lcm_upto(k).value
+        assert report.value * report.exceptional * removed == lcm_upto(k)
         assert _product_tree(report.per_prime.values()) == report.value
-        closed = closed_form_period(k, report.a_reduced)
-        assert report.value == closed.value
         dropped = {q for q, _ in report.removed_primes}
         dropped.add(report.exceptional_prime)
-        kept = {p: e for p, e in lcm_upto(k).factors.items() if p not in dropped}
-        assert closed.factors == kept
+        kept = {p: integer_log(p, k) for p in primes_upto(k) if p not in dropped}
         # The sparse table: every exponent of the period other than 1.
         exponents = {p: e for p, e in kept.items() if e != 1}
         exponents.update((q, 0) for q in dropped - {None})
         assert report.exponents == exponents
+        assert closed_form_period(k, report.a_reduced) == exponents
 
 
 def test_report_derives_its_factorization_on_access():
@@ -145,8 +144,7 @@ def test_report_derives_its_factorization_on_access():
     for copy in (fresh, pickle.loads(pickle.dumps(report))):
         assert copy == report and copy.value == report.value
         assert copy.exponents == exponents
-    factors = closed_form_period(10**5, report.a_reduced).factors
-    assert len(factors) == len(primes_upto(10**5)) - 3
+    assert closed_form_period(10**5, report.a_reduced) == exponents
 
 
 def test_removed_primes_are_the_prime_divisors_of_a_large_difference():
@@ -164,7 +162,8 @@ def test_report_lcm_upto_matches_lcm_upto():
     cases.append((10**4, 35, 12))
     reports = [smallest_period(Progression(a, b), k) for k, a, b in cases]
     for report in reports:
-        assert report.lcm_upto == lcm_upto(report.k).value
+        removed = math.prod(q**e for q, e in report.removed_primes)
+        assert report.value * report.exceptional * removed == lcm_upto(report.k)
     # The sweep meets both primes that drop out of the period.
     assert any(r.removed_primes for r in reports)
     assert any(r.exceptional_prime is not None for r in reports)
@@ -174,7 +173,7 @@ def test_period_is_checked_against_the_cached_lcm(monkeypatch):
     # lcm(1..10) = 2520 and a = 6 removes 2^3 * 3^2 = 72; half of 2520 is
     # no multiple of 72, so the division leaves a remainder.
     monkeypatch.setattr(
-        "aplcm.period._cached_lcm_upto", lambda k: lcm_upto(k).value // 2
+        "aplcm.period._cached_lcm_upto", lambda k: lcm_upto(k) // 2
     )
     with pytest.raises(SelfCheckError):
         smallest_period(Progression(6, 1), 10)
@@ -191,11 +190,8 @@ def test_reprs_of_large_results_convert_no_big_integer():
     sys.set_int_max_str_digits(4300)
     try:
         report = smallest_period(Progression(1, 0), 10**4)
-        factored = lcm_upto(10**4)
-        assert factored.value == report.lcm_upto > 10**4300
-        closed = closed_form_period(10**4, report.a_reduced)
-        for obj in (report, closed, factored):
-            assert repr(obj).startswith(type(obj).__name__)
+        assert report.value * report.exceptional > 10**4300
+        assert repr(report).startswith("PeriodReport")
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -211,10 +207,9 @@ def test_period_rows_match_smallest_period(a, b):
     assert [row[0] for row in rows] == list(range(601))
     for k, lcm, exceptional, period in rows:
         report = smallest_period(prog, k)
-        assert (lcm, exceptional, period) == \
-            (report.lcm_upto, report.exceptional, report.value), k
-        # Both sides walk the sieve's ladder; lcm_upto does not.
-        assert lcm == lcm_upto(k).value, k
+        assert (exceptional, period) == (report.exceptional, report.value), k
+        # period_rows walks the sieve's ladder; lcm_upto does not.
+        assert lcm == lcm_upto(k), k
 
 
 def test_period_rows_smallest_ranges():
@@ -240,7 +235,7 @@ def test_period_rows_run_to_the_end_of_the_ladder(monkeypatch):
     monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
     rows = list(period_rows(Progression(1, 0), 1024))
     assert numtheory._sieve[0] == 1024
-    assert rows[-1][:2] == (1024, lcm_upto(1024).value)
+    assert rows[-1][:2] == (1024, lcm_upto(1024))
 
 
 def test_bruteforce_small_examples():
@@ -268,7 +263,7 @@ def test_bruteforce_asks_the_kernel_for_one_span_and_its_answer(monkeypatch):
         for a, b in ((1, 0), (3, 2), (6, 4)):
             requested.clear()
             t = smallest_period_bruteforce(Progression(a, b), k)
-            assert sum(requested) == lcm_upto(k).value + t
+            assert sum(requested) == lcm_upto(k) + t
 
 
 def _corrupt_ratio_at(monkeypatch, bad_n):
@@ -481,11 +476,6 @@ def test_relation_to_consecutive_integer_period():
                 assert smallest_period(prog, k).value == base // removed
                 if b % a == 0:
                     assert smallest_period(prog, k).value == base
-
-
-def test_double_exceptional_prime_is_impossible_up_to_2000():
-    for k in range(2001):
-        exceptional_factor(k, 1)  # raises SelfCheckError on a double hit
 
 
 def test_selfcheck_error_is_distinct_from_value_error():

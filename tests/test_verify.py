@@ -65,6 +65,9 @@ INJECTED_FAULTS = [
     ("odd-progression", "smallest_period_bruteforce", lambda *a: 0,
      {"k", "a", "b"}),
     ("exceptional-prime", "exceptional_factor", _raise_self_check, {"k"}),
+    # No prime is ever exceptional: wrong at every k where one qualifies.
+    pytest.param("exceptional-prime", "exceptional_factor",
+                 lambda k, a: (1, None), {"k"}, id="exceptional-prime-none"),
     ("integer-basics", "integer_log", lambda p, k: 0, {"check", "p", "k"}),
     pytest.param("integer-basics", "_cached_lcm_upto", lambda k: 0,
                  {"check", "k"}, id="integer-basics-cached-lcm"),
