@@ -45,7 +45,7 @@ from .identities import (
     load_period_table,
     save_period_table,
 )
-from .numtheory import integer_log, primes_upto, require_prime
+from .numtheory import _product_tree, integer_log, primes_upto, require_prime
 from .period import (
     DEFAULT_BUDGET,
     nonperiod_witness,
@@ -262,13 +262,6 @@ def _acquire_table(prog, k, path, budget):
     return table
 
 
-def _balanced_lcm(terms):
-    """math.lcm(*terms) as a balanced tree of pairwise lcms."""
-    while len(terms) > 1:
-        terms = [*map(math.lcm, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
-    return terms[0]
-
-
 def cmd_lcm(args):
     prog = Progression(args.a, args.b)
     if args.table is not None and args.method == "direct":
@@ -284,7 +277,7 @@ def cmd_lcm(args):
     # it, so a tampered table file cannot yield a wrong answer unnoticed.
     # math.lcm folds left, so its running lcm grows with every term: from
     # 48 words of terms in all, a balanced tree is faster.
-    lcm = math.lcm(*terms) if (args.k + 1) * w < 48 else _balanced_lcm(terms)
+    lcm = math.lcm(*terms) if (args.k + 1) * w < 48 else _product_tree(terms, math.lcm)
     period_val = None
     if args.method != "direct":
         table = _acquire_table(prog, args.k, args.table, budget)

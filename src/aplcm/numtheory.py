@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress
 
 from .errors import SelfCheckError
@@ -70,15 +70,15 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Answered from the shared sieve when it already covers n, and by
-    Miller-Rabin to the first 13 prime bases below MILLER_RABIN_BOUND
-    (where that is exact). A larger n with no prime factor up to 41
-    raises ValueError: no bounded test here is exact for it.
+    Answered by bisection in the shared sieve's primes when it covers n,
+    and by Miller-Rabin to the first 13 prime bases below
+    MILLER_RABIN_BOUND (where that is exact). A larger n with no prime
+    factor up to 41 raises ValueError: no bounded test here is exact for it.
     """
-    sieve = _sieve
-    if n <= sieve[0]:
-        # n >= 2 first: a negative index would read the flags from the end.
-        return n >= 2 and sieve[2][n] == 1
+    limit, primes, _, _ = _sieve
+    if n <= limit:
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -102,13 +102,13 @@ def require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-# The shared sieve: one immutable tuple (limit, primes, flags, higher,
-# roots), swapped in whole, so a reader that sees a limit also sees all
-# that covers it. flags[n] == 1 iff n is prime; higher lists the prime
-# powers p**j <= limit with j >= 2, ascending, and roots their primes.
-# primes and higher are the ladder of lcm(1..k), which gains the factor p
-# exactly at k = p**j.
-_sieve: tuple = (1, (), b"", (), ())
+# The shared sieve: one immutable tuple (limit, primes, higher, roots),
+# swapped in whole, so a reader that sees a limit also sees all that
+# covers it. primes lists the primes <= limit, ascending; higher lists
+# the prime powers p**j <= limit with j >= 2, ascending, and roots their
+# primes. primes and higher are the ladder of lcm(1..k), which gains the
+# factor p exactly at k = p**j.
+_sieve: tuple = (1, (), (), ())
 
 
 def _sieve_upto(k: int) -> tuple:
@@ -129,7 +129,7 @@ def _sieve_upto(k: int) -> tuple:
     higher = sorted(
         (p**j, p) for p in primes[:root] for j in range(2, integer_log(p, limit) + 1)
     )
-    _sieve = sieve = (limit, primes, bytes(flags), *zip(*higher))
+    _sieve = sieve = (limit, primes, *zip(*higher))
     return sieve
 
 
@@ -144,7 +144,7 @@ def primes_upto(k: int) -> list[int]:
 def _gained(sieve: tuple, lo: int, hi: int) -> tuple:
     """The factors lcm(1..hi) has beyond lcm(1..lo), lo <= hi <= the
     sieve's limit: the ladder's primes for the prime powers in (lo, hi]."""
-    _, primes, _, higher, roots = sieve
+    _, primes, higher, roots = sieve
     return (
         primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
         + roots[bisect_right(higher, lo) : bisect_right(higher, hi)]
@@ -155,7 +155,7 @@ def _ladder(k: int):
     """The ladder (q, p) of a sieve reaching k, ascending in q: each prime
     power q = p**j, where lcm(1..q) gains the factor p. Covers every
     q <= k; it is empty for k <= 1."""
-    _, primes, _, higher, roots = _sieve_upto(k)
+    _, primes, higher, roots = _sieve_upto(k)
     return heapq.merge(zip(primes, primes), zip(higher, roots))
 
 
@@ -207,19 +207,19 @@ def _cached_lcm_upto(k: int) -> int:
     return point * math.prod(_gained(sieve, m, k))
 
 
-def _product_tree(xs) -> int:
-    """Product of xs by a balanced tree (1 for an empty input).
+def _product_tree(xs, op=operator.mul) -> int:
+    """Product of xs by a balanced tree (1 for an empty input); their lcm
+    with op=math.lcm.
 
-    Multiplies neighbours pairwise until one value is left, so the big
-    multiplications pair operands of similar size. That is sub-quadratic
-    for thousands of large factors, where a left-to-right math.prod is
-    quadratic in the bit length; for a few dozen small terms math.prod
-    is faster.
+    Joins neighbours pairwise until one value is left, so the big
+    operations pair operands of similar size: sub-quadratic for thousands
+    of large terms, where a left fold (math.prod, math.lcm) is quadratic
+    in the bit length, and slower for a few dozen small terms.
     """
     xs = list(xs) or [1]
     while len(xs) > 1:
         odd = xs[-1:] if len(xs) % 2 else []
-        xs = [*map(operator.mul, xs[::2], xs[1::2]), *odd]
+        xs = [*map(op, xs[::2], xs[1::2]), *odd]
     return xs[0]
 
 

@@ -11,8 +11,8 @@ primes up to the reduced difference and the prime divisors of k + 1 are
 visited, and the period is lcm(1..k), from numtheory's shared
 checkpoint cache, divided by the blocks that drop out. One sparse table,
 _exponents, states that rule as a plain {p: e} dict: closed_form_period
-and PeriodReport.exponents return it, and per_prime reads it. The
-brute-force searches below are oracles, independent of it and the cache.
+and PeriodReport.exponents return it. The brute-force searches below
+are oracles, independent of it and the cache.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class PeriodReport:
     removed_primes lists (q, E) for primes q dividing the reduced
     difference, q <= k. value is the period, left out of repr, whose
     int-to-str conversion could exceed the interpreter's digit limit.
-    Derived on first access: exponents, the period's exponents other
-    than 1 (see _exponents), and from it per_prime, the period of each
-    p-valuation of the ratio (1 where p drops out).
+    exponents, the period's exponents other than 1 (see _exponents), is
+    derived on first access; p ** exponents.get(p, 1) is the period of
+    the ratio's p-valuation for each prime p <= k.
     """
 
     k: int
@@ -120,11 +120,6 @@ class PeriodReport:
     @functools.cached_property
     def exponents(self) -> dict[int, int]:
         return _exponents(self.k, self.exceptional_prime, self.removed_primes)
-
-    @functools.cached_property
-    def per_prime(self) -> dict[int, int]:
-        exps = self.exponents
-        return {p: p ** exps.get(p, 1) for p in primes_upto(self.k)}
 
 
 def _drops(k: int, ar: int) -> tuple[int, int | None, list[tuple[int, int]]]:
@@ -228,10 +223,15 @@ def smallest_period_bruteforce(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    what = f"full-period search for k={k}"
+    if k >= 7:
+        # lcm(1..k) >= 2^k from k = 7 on (Nair, 1982): a lower bound of
+        # the work below, charged before the sieve and the product.
+        require_budget((k + 1) << k, budget, what)
     factors = {p: integer_log(p, k) for p in primes_upto(k)}
     big_l = lcm_upto(k)
     work = big_l * (k + 1) * math.prod(e + 1 for e in factors.values())
-    require_budget(work, budget, f"full-period search for k={k}")
+    require_budget(work, budget, what)
     divisors = [1]
     for p, e in factors.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]

@@ -175,10 +175,10 @@ def _check_decomposition(k, a, b, budget):
 
 def _check_prime_period(k, a, b, budget):
     prog = Progression(a, b)
-    per_prime = smallest_period(prog, k).per_prime
+    exps = smallest_period(prog, k).exponents
     for p in primes_upto(k) + [11]:
         actual = valuation_period_bruteforce(p, prog, k, budget)
-        expected = per_prime.get(p, 1)
+        expected = p ** exps.get(p, 1) if p <= k else 1
         if actual != expected:
             yield FailureRecord({"k": k, "a": a, "b": b, "p": p}, expected, actual)
         if expected != 1:
@@ -589,13 +589,26 @@ def available_suites() -> list[str]:
     return list(SUITES)
 
 
+def _guarded(checker, args):
+    """checker's failure records, then one for a SelfCheckError it raises,
+    with the case's arguments by name, the budget left out, as inputs."""
+    try:
+        yield from checker(*args)
+    except SelfCheckError as exc:
+        code = checker.__code__
+        inputs = dict(zip(code.co_varnames[: code.co_argcount], args))
+        inputs.pop("budget", None)
+        yield FailureRecord(inputs, "no consistency failure", str(exc))
+
+
 def _run_cases(cases) -> tuple[list[FailureRecord], int]:
     """The first MAX_FAILURES_KEPT failure records of cases, in case
     order, and the count of the others, which are dropped as they come.
+    A case that raises SelfCheckError fails with that message.
     """
     kept, dropped = [], 0
     for checker, *args in cases:
-        found = checker(*args)
+        found = _guarded(checker, args)
         kept += islice(found, MAX_FAILURES_KEPT - len(kept))
         for _ in found:
             dropped += 1

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -27,6 +26,8 @@ from aplcm.numtheory import (
     valuation,
 )
 from aplcm.period import PeriodReport, smallest_period
+
+from test_acceptance import CASES_RUN
 
 JSON_KEYS = {"command", "inputs", "result", "elapsed_ms"}
 
@@ -169,19 +170,23 @@ def test_a_rounded_lcm_upto_k_is_never_printed(capsys, monkeypatch):
 
 
 def test_period_renders_from_the_exponent_table_alone(capsys, monkeypatch):
-    # The report's pi(k)-sized per_prime map is not built: the CLI reads
-    # the sparse exponent table and the sieve's primes.
-    argvs = [("period", "--k", "1000", "--a", a, "--b", "1", *extra)
-             for a in ("1", "6") for extra in ((), ("--json",))]
-    plain = [run(capsys, *argv) for argv in argvs]
-
-    def refuse(*args):
-        raise AssertionError("the CLI derived a full map of the period")
-
-    monkeypatch.setattr(PeriodReport, "per_prime", property(refuse))
-    for argv, (code, out, err) in zip(argvs, plain):
+    # factors and per_prime_periods come from the report's sparse exponent
+    # table and the sieve's primes: a table that also drops 7 drops it
+    # from both maps, and changes nothing else in them.
+    argvs = [("period", "--k", "1000", "--a", a, "--b", "1", "--json")
+             for a in ("1", "6")]
+    plain = [run_json(capsys, *argv)[1]["result"] for argv in argvs]
+    derive = PeriodReport.exponents.func
+    monkeypatch.setattr(PeriodReport, "exponents",
+                        property(lambda report: {**derive(report), 7: 0}))
+    for argv, want in zip(argvs, plain):
+        code, payload, err = run_json(capsys, *argv)
         assert code == 0 and err == ""
-        assert _without_timings(run(capsys, *argv)[1]) == _without_timings(out)
+        got = payload["result"]
+        del want["factors"]["7"]
+        want["per_prime_periods"]["7"] = "1"
+        assert (got["factors"], got["per_prime_periods"]) == \
+            (want["factors"], want["per_prime_periods"])
 
 
 def test_period_verify_agrees(capsys):
@@ -495,23 +500,20 @@ def test_lcm_on_both_sides_of_the_tree_crossover(capsys, monkeypatch, k, n):
     # The terms of (7, 3) near 10^9 fit one 64-bit word and near 10^25 two,
     # so the tree starts at k = 47 and k = 23: (k + 1) * w reaches 48.
     calls = []
-    balanced = cli._balanced_lcm
-    monkeypatch.setattr(cli, "_balanced_lcm",
-                        lambda terms: calls.append(len(terms)) or balanced(terms))
+    tree = cli._product_tree
+
+    def spy(terms, op):
+        calls.append((len(terms), op))
+        return tree(terms, op)
+
+    monkeypatch.setattr(cli, "_product_tree", spy)
     code, out, err = run(capsys, "lcm", "--k", str(k), "--a", "7", "--b", "3",
                          "--n", str(n), "--method", "direct")
     assert code == 0, err
     with no_int_str_limit():
         assert out == f"{math.lcm(*window_terms(Progression(7, 3), Window(n, k)))}\n"
     w = 1 + (3 + (n + k) * 7).bit_length() // 64
-    assert calls == ([k + 1] if (k + 1) * w >= 48 else [])
-
-
-def test_balanced_lcm_is_math_lcm():
-    rng = random.Random(3)
-    for length in range(1, 40):
-        terms = [rng.randrange(1, 10**rng.randint(1, 30)) for _ in range(length)]
-        assert cli._balanced_lcm(terms) == math.lcm(*terms)
+    assert calls == ([(k + 1, math.lcm)] if (k + 1) * w >= 48 else [])
 
 
 @needs_digit_limit
@@ -670,6 +672,32 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     assert len(report["failures"]) == verify.MAX_FAILURES_KEPT
     assert int(report["failures_dropped"]) == 10001 - verify.MAX_FAILURES_KEPT
     assert report["failures"][0]["inputs"] == {"k": "0"}
+
+
+def test_verify_all_reports_every_suite_when_a_case_raises(capsys, monkeypatch):
+    # A SelfCheckError inside a case fails that case, not the run: every
+    # suite still prints its status line, at its usual scale.
+    def broken(prog, k):
+        raise SelfCheckError(f"injected fault at k={k}")
+
+    monkeypatch.setattr(verify, "smallest_period", broken)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and err == ""
+    status = [line.split() for line in out.splitlines() if line[0] != " "]
+    assert {name: int(cases) for _, name, cases, *_ in status} == CASES_RUN
+    assert {name for passed, name, *_ in status if passed == "FAIL"} == {
+        "period-closed-form", "consecutive-periods", "prime-period",
+        "odd-progression", "scaling",
+    }
+    # The record names the case's arguments, without the budget.
+    code, payload, _ = run_json(capsys, "verify", "prime-period", "--json")
+    (report,) = payload["result"]
+    assert code == 1 and report["cases_run"] == "448"
+    assert report["failures"][0] == {
+        "inputs": {"k": "2", "a": "1", "b": "0"},
+        "expected": "no consistency failure",
+        "actual": "injected fault at k=2",
+    }
 
 
 def test_verify_text_cuts_huge_ints_and_json_keeps_them(capsys, monkeypatch):

@@ -99,7 +99,8 @@ def test_is_prime_after_sieve_growth():
 
 
 def test_is_prime_is_false_for_negatives_inside_the_sieve():
-    # A negative index would read the sieve flags from the end.
+    # Every n <= the sieve's limit, negative ones too, is answered by
+    # bisection in the sieve's primes.
     primes_upto(10**4)
     limit = numtheory._sieve[0]
     assert not any(is_prime(-n) for n in range(1, limit + 1))
@@ -114,11 +115,16 @@ def test_product_tree_matches_math_prod():
     k = 10**5
     powers = [p ** integer_log(p, k) for p in primes_upto(k)]
     assert _product_tree(powers) == math.prod(powers)
+    # With math.lcm as the pairing, the tree is math.lcm over the terms.
+    rng = random.Random(3)
+    for length in range(1, 40):
+        terms = [rng.randrange(1, 10**rng.randint(1, 30)) for _ in range(length)]
+        assert _product_tree(terms, math.lcm) == math.lcm(*terms)
 
 
 def _empty_lcm_cache(monkeypatch, checkpoints=True):
     """An empty sieve; the checkpoints too, if asked."""
-    monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+    monkeypatch.setattr(numtheory, "_sieve", (1, (), (), ()))
     if checkpoints:
         monkeypatch.setattr(numtheory, "_checkpoints", {})
 

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_exceptional_factor_matches_its_definition():
 
 def test_exceptional_factor_on_an_empty_sieve(monkeypatch):
     for k, want in ((0, (1, None)), (1, (1, None)), (2, (1, None)), (3, (2, 2))):
-        monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+        monkeypatch.setattr(numtheory, "_sieve", (1, (), (), ()))
         assert exceptional_factor(k, 1) == want
 
 
@@ -105,9 +106,10 @@ def test_period_report_structure():
     # period * exceptional * removed prime powers recovers lcm(1..k)
     removed = math.prod(q**e for q, e in report.removed_primes)
     assert report.value * report.exceptional * removed == lcm_upto(5)
-    # per-prime entries multiply to the period and cover all primes <= k
-    assert list(report.per_prime) == primes_upto(5)
-    assert math.prod(report.per_prime.values()) == report.value
+    # the per-prime periods p ** exponents.get(p, 1) multiply to the period
+    assert report.exponents == {2: 0, 3: 0}
+    exps = report.exponents
+    assert math.prod(p ** exps.get(p, 1) for p in primes_upto(5)) == report.value
 
 
 def test_period_report_identities_hold_across_sweep():
@@ -118,7 +120,9 @@ def test_period_report_identities_hold_across_sweep():
         report = smallest_period(Progression(a, b), k)
         removed = _product_tree(q**e for q, e in report.removed_primes)
         assert report.value * report.exceptional * removed == lcm_upto(k)
-        assert _product_tree(report.per_prime.values()) == report.value
+        exps = report.exponents
+        assert _product_tree(p ** exps.get(p, 1) for p in primes_upto(k)) == \
+            report.value
         dropped = {q for q, _ in report.removed_primes}
         dropped.add(report.exceptional_prime)
         kept = {p: integer_log(p, k) for p in primes_upto(k) if p not in dropped}
@@ -132,7 +136,6 @@ def test_period_report_identities_hold_across_sweep():
 def test_report_derives_its_factorization_on_access():
     report = smallest_period(Progression(6, 1), 10**5)
     assert "exponents" not in vars(report)
-    assert "per_prime" not in vars(report)
     # Before and after the exponent table is derived, a pickled report
     # comes back equal and derives the same table.
     fresh = pickle.loads(pickle.dumps(report))
@@ -224,7 +227,7 @@ def test_period_rows_smallest_ranges():
 def test_period_rows_from_an_empty_sieve(monkeypatch):
     # k_max <= 1 leaves the empty sieve as it is, so the ladder is empty.
     for k_max, rows in ((0, [(0, 1, 1, 1)]), (1, [(0, 1, 1, 1), (1, 1, 1, 1)])):
-        monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+        monkeypatch.setattr(numtheory, "_sieve", (1, (), (), ()))
         assert list(period_rows(Progression(1, 0), k_max)) == rows
         assert numtheory._sieve[0] == 1
 
@@ -232,7 +235,7 @@ def test_period_rows_from_an_empty_sieve(monkeypatch):
 def test_period_rows_run_to_the_end_of_the_ladder(monkeypatch):
     # From an empty sieve, k_max = 1024 = 2^10 is the sieve's limit and
     # its last prime power, so the walk uses up the whole ladder.
-    monkeypatch.setattr(numtheory, "_sieve", (1, (), b"", (), ()))
+    monkeypatch.setattr(numtheory, "_sieve", (1, (), (), ()))
     rows = list(period_rows(Progression(1, 0), 1024))
     assert numtheory._sieve[0] == 1024
     assert rows[-1][:2] == (1024, lcm_upto(1024))
@@ -312,6 +315,29 @@ def test_bruteforce_budget_guard():
         valuation_period_bruteforce(2, Progression(1, 0), 10**60, budget=10**6)
 
 
+def test_bruteforce_refuses_a_large_k_before_it_sieves(monkeypatch):
+    # (k + 1) << k, a lower bound of the work from k = 7 on, is charged
+    # before the sieve and lcm(1..k).
+    def refuse(k):
+        raise AssertionError("the refused search sieved or built lcm(1..k)")
+
+    monkeypatch.setattr(period, "primes_upto", refuse)
+    monkeypatch.setattr(period, "lcm_upto", refuse)
+    with pytest.raises(BudgetExceededError, match=r"k=1000000 needs work ~2\^1000020\b"):
+        smallest_period_bruteforce(Progression(1, 0), 10**6)
+
+
+def test_bruteforce_lower_bound_never_exceeds_the_work():
+    # lcm(1..k) >= 2^k for k >= 7 (Nair), so the bound admits every
+    # search that the exact work admits: at k = 7 the work is
+    # lcm(1..7) * 8 * 24 divisors = 80 640, against a bound of 1024.
+    for k, lcm in enumerate(accumulate(range(1, 3001), math.lcm, initial=1)):
+        assert k < 7 or lcm >= 1 << k, k
+    assert smallest_period_bruteforce(Progression(1, 0), 7, budget=80_640) == 105
+    with pytest.raises(BudgetExceededError):
+        smallest_period_bruteforce(Progression(1, 0), 7, budget=80_639)
+
+
 @pytest.mark.parametrize("a, b", [(1, 0), (7, 3), (194, 1)])
 @pytest.mark.parametrize("p", [2, 97])
 def test_valuation_period_search_at_large_k_is_under_the_default_budget(p, a, b):
@@ -319,7 +345,7 @@ def test_valuation_period_search_at_large_k_is_under_the_default_budget(p, a, b)
     # 56 454 at p = 97 for k = 10**4, where E = 13 and 2.
     prog = Progression(a, b)
     k = 10**4
-    expected = smallest_period(prog, k).per_prime[p]
+    expected = p ** smallest_period(prog, k).exponents.get(p, 1)
     assert valuation_period_bruteforce(p, prog, k) == expected
 
 

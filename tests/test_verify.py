@@ -98,16 +98,18 @@ INJECTED_FAULTS = [
     # d**k times the reduced ratio at every k >= 1, as every pair has d > 1.
     ("scaling", "_ratios", lambda a, b, k, n_lo, count: [n_lo] * count,
      {"check", "k", "a", "b", "n"}),
-    # A closed form whose per-prime table lists no prime disagrees with
+    # A closed form whose per-prime table drops every prime disagrees with
     # every search that finds a period above 1.
     pytest.param("prime-period", "smallest_period",
-                 lambda prog, k: SimpleNamespace(per_prime={}),
+                 lambda prog, k: SimpleNamespace(exponents=dict.fromkeys(
+                     primes_upto(k), 0
+                 )),
                  {"k", "a", "b", "p"}, id="prime-period-per-prime"),
     # Keeping every prime, removed and exceptional ones too, asks for
     # witnesses that cannot exist; the suite reports them, not raises.
     pytest.param("prime-period", "smallest_period",
-                 lambda prog, k: SimpleNamespace(per_prime={
-                     p: p ** integer_log(p, k) for p in primes_upto(k)
+                 lambda prog, k: SimpleNamespace(exponents={
+                     p: integer_log(p, k) for p in primes_upto(k)
                  }),
                  {"k", "a", "b", "p"}, id="prime-period-all-kept"),
 ]
