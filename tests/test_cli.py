@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -514,6 +515,14 @@ def test_lcm_on_both_sides_of_the_tree_crossover(capsys, monkeypatch, k, n):
         assert out == f"{math.lcm(*window_terms(Progression(7, 3), Window(n, k)))}\n"
     w = 1 + (3 + (n + k) * 7).bit_length() // 64
     assert calls == ([(k + 1, math.lcm)] if (k + 1) * w >= 48 else [])
+
+
+def test_balanced_lcm_is_math_lcm():
+    # The tree cmd_lcm uses for long windows, paired by math.lcm.
+    rng = random.Random(3)
+    for length in range(1, 40):
+        terms = [rng.randrange(1, 10**rng.randint(1, 30)) for _ in range(length)]
+        assert cli._product_tree(terms, math.lcm) == math.lcm(*terms)
 
 
 @needs_digit_limit
