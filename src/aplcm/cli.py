@@ -37,9 +37,11 @@ from .gfun import (
     _counted_valuations,
     _ratios,
     _require_reduced,
+    _scan_blocks,
     window_terms,
 )
 from .identities import (
+    _residue_lcm,
     build_period_table,
     fast_lcm,
     load_period_table,
@@ -234,7 +236,13 @@ def cmd_g(args):
     count = hi - lo + 1
     budget = resolve_budget(None)
     if args.p is None:
-        require_budget(count * (args.k + 1), budget, "the --n range")
+        # The scan takes about one step per window term; window by window,
+        # each window's product and lcm cost what cmd_lcm charges for its
+        # lcm, (K + 1)^2 w^2.
+        work = count * (args.k + 1)
+        if not _scan_blocks(args.a, args.b, args.k, lo, count):
+            work *= (args.k + 1) * _words(args.a, args.b, hi, args.k) ** 2
+        require_budget(work, budget, "the --n range")
         values = _ratios(args.a, args.b, args.k, lo, count)
     else:
         # Checked once for the range; then one step per index per p**e <= k.
@@ -247,8 +255,14 @@ def cmd_g(args):
     return rendered, rendered, None
 
 
+def _words(a, b, n, k):
+    """64-bit words of the last term of the window at n."""
+    return 1 + (b + (n + k) * a).bit_length() // 64
+
+
 def _acquire_table(prog, k, path, budget):
-    if path is not None and Path(path).exists():
+    """The table in the file at path, or one built now and saved there."""
+    if Path(path).exists():
         table = load_period_table(path)
         if table.prog != prog or table.k != k:
             raise ValueError(
@@ -257,8 +271,7 @@ def _acquire_table(prog, k, path, budget):
             )
         return table
     table = build_period_table(prog, k, budget)
-    if path is not None:
-        save_period_table(table, path)
+    save_period_table(table, path)
     return table
 
 
@@ -268,25 +281,28 @@ def cmd_lcm(args):
         raise ValueError("--table is only meaningful with the period method")
     # math.lcm over k + 1 terms of w 64-bit words takes about (k + 1)^2 w^2
     # word operations; refuse that before the terms are built.
-    w = 1 + (args.b + (args.n + args.k) * args.a).bit_length() // 64
+    w = _words(args.a, args.b, args.n, args.k)
     budget = resolve_budget(None)
     require_budget((args.k + 1) ** 2 * w**2, budget, "the lcm of k+1 window terms")
 
     terms = window_terms(prog, Window(args.n, args.k))
-    # Every method answers with this lcm; a period-table value must equal
-    # it, so a tampered table file cannot yield a wrong answer unnoticed.
+    # Every method answers with this lcm; a period-method value must equal
+    # it, so a wrong period or a tampered table file cannot yield a wrong
+    # answer unnoticed.
     # math.lcm folds left, so its running lcm grows with every term: from
     # 48 words of terms in all, a balanced tree is faster.
     lcm = math.lcm(*terms) if (args.k + 1) * w < 48 else _product_tree(terms, math.lcm)
     period_val = None
-    if args.method != "direct":
-        table = _acquire_table(prog, args.k, args.table, budget)
-        period_val = fast_lcm(table, args.n)
-        if period_val != lcm:
-            raise SelfCheckError(
-                f"lcm mismatch at n={_brief(args.n)}: direct {_brief(lcm)}, "
-                f"period-table {_brief(period_val)}"
-            )
+    if args.table is not None:
+        period_val = fast_lcm(_acquire_table(prog, args.k, args.table, budget), args.n)
+    elif args.method != "direct":
+        # The one ratio at n's residue, not the whole table.
+        period_val = _residue_lcm(prog, args.k, args.n, budget)
+    if period_val is not None and period_val != lcm:
+        raise SelfCheckError(
+            f"lcm mismatch at n={_brief(args.n)}: direct {_brief(lcm)}, "
+            f"period-table {_brief(period_val)}"
+        )
     # The methods agree, so their fields share one decimal conversion.
     text = str(lcm)
     result = {

@@ -26,9 +26,13 @@ class SelfCheckError(Exception):
 def require_budget(work: int, budget: int, what: str) -> None:
     """Refuse size-dependent work above the budget, naming it as ~2^bits."""
     if work > budget:
-        raise BudgetExceededError(
-            f"{what} needs work ~2^{work.bit_length()} > budget {budget}"
-        )
+        raise _over_budget(work.bit_length(), budget, what)
+
+
+def _over_budget(bits: int, budget: int, what: str) -> BudgetExceededError:
+    """The error require_budget raises for a work of this bit length, for
+    a caller that refuses a huge work by its bit length alone."""
+    return BudgetExceededError(f"{what} needs work ~2^{bits} > budget {budget}")
 
 
 # An int with more digits than this shows in a message as its first and

@@ -111,19 +111,27 @@ def _ratios(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:
     set-up (about as dear as sixteen windows for k <= 12), goes window
     by window, which holds only one window's terms at a time.
     """
+    blocks = _scan_blocks(a, b, k, n_lo, count)
+    if not blocks:
+        return [_ratio(a, b, n, k) for n in range(n_lo, n_lo + count)]
+    step = blocks * (k + 1)
+    out = []
+    for lo in range(n_lo, n_lo + count, step):
+        out += _ratio_scan(a, b, k, lo, min(step, n_lo + count - lo))
+    return out
+
+
+def _scan_blocks(a: int, b: int, k: int, n_lo: int, count: int) -> int:
+    """Blocks per _ratio_scan chunk in _ratios(a, b, k, n_lo, count), or 0
+    when it goes window by window."""
+    if count < 16:
+        return 0
     w = k + 1
     bits = (b + (n_lo + count + k) * a).bit_length()
     # A block's suffix lists: w lcms of up to w * bits bits, w * bits / 2
     # on average, and w small ratios, with about 80 bytes of objects
     # and pointers per entry.
-    blocks = _SCAN_BYTES // (w * (w * bits // 16 + 80))
-    if count < 16 or not blocks:
-        return [_ratio(a, b, n, k) for n in range(n_lo, n_lo + count)]
-    step = blocks * w
-    out = []
-    for lo in range(n_lo, n_lo + count, step):
-        out += _ratio_scan(a, b, k, lo, min(step, n_lo + count - lo))
-    return out
+    return _SCAN_BYTES // (w * (w * bits // 16 + 80))
 
 
 def _ratio_scan(a: int, b: int, k: int, n_lo: int, count: int) -> list[int]:

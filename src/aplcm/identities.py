@@ -1,7 +1,7 @@
-"""The subset-gcd lcm identity, and period-accelerated lcm evaluation
-with a persisted table of ratio values. The divisibility and
-gcd-transfer identities are checked by the verify suites, not offered
-here.
+"""The subset-gcd lcm identity, and period-accelerated lcm evaluation:
+by a persisted table of ratio values, or by the one ratio at the start
+index's residue. The divisibility and gcd-transfer identities are
+checked by the verify suites, not offered here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BudgetExceededError, SelfCheckError, _brief, require_budget
-from .gfun import Progression, _ratios, _terms
+from .gfun import Progression, _ratio, _ratios, _terms
 from .period import DEFAULT_BUDGET, smallest_period
 
 __all__ = [
@@ -108,11 +108,17 @@ def build_period_table(
     prog: Progression, k: int, budget: int = DEFAULT_BUDGET
 ) -> PeriodTable:
     period = smallest_period(prog, k).value
-    what = f"the table of a period of {period.bit_length()} bits for k={k}"
-    require_budget(period * (k + 1), budget, what)
+    _require_table_budget(period, k, budget)
     values = _ratios(prog.a, prog.b, k, 1, period)
     # n = period stands in for residue 0 (n = 0 would give a zero term).
     return PeriodTable(prog, k, period, (values[-1], *values[:-1]))
+
+
+def _require_table_budget(period: int, k: int, budget: int) -> None:
+    """The one admission rule of the period method, with or without a
+    table: the table's period * (k + 1) window terms."""
+    what = f"the table of a period of {period.bit_length()} bits for k={k}"
+    require_budget(period * (k + 1), budget, what)
 
 
 def fast_lcm(table: PeriodTable, n: int) -> int:
@@ -121,13 +127,30 @@ def fast_lcm(table: PeriodTable, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    product = math.prod(_terms(table.prog.a, table.prog.b, n, table.k))
-    quotient, remainder = divmod(product, table.values[n % table.period])
+    return _divide_by_ratio(table.prog, table.k, n, table.values[n % table.period])
+
+
+def _residue_lcm(prog: Progression, k: int, n: int, budget: int) -> int:
+    """fast_lcm without a table, unvalidated: the ratio at n's residue r
+    is computed at r itself (r = period for residue 0, as in
+    PeriodTable.values[0]). Admitted exactly where the table would be.
+    """
+    period = smallest_period(prog, k).value
+    _require_table_budget(period, k, budget)
+    ratio = _ratio(prog.a, prog.b, n % period or period, k)
+    return _divide_by_ratio(prog, k, n, ratio)
+
+
+def _divide_by_ratio(prog: Progression, k: int, n: int, ratio: int) -> int:
+    """The window product at n divided by the ratio taken for it; a
+    remainder means the period is wrong and raises SelfCheckError."""
+    product = math.prod(_terms(prog.a, prog.b, n, k))
+    quotient, remainder = divmod(product, ratio)
     if remainder:
         raise SelfCheckError(
-            f"inexact division at n={_brief(n)} for (a={_brief(table.prog.a)}, "
-            f"b={_brief(table.prog.b)}), k={_brief(table.k)}: the table does not match "
-            "the window, which means the period is wrong"
+            f"inexact division at n={_brief(n)} for (a={_brief(prog.a)}, "
+            f"b={_brief(prog.b)}), k={_brief(k)}: the ratio at n's residue "
+            "does not match the window, which means the period is wrong"
         )
     return quotient
 

@@ -22,7 +22,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import SelfCheckError, require_budget
+from .errors import SelfCheckError, _over_budget, require_budget
 from .gfun import (
     Progression,
     _counted_valuation,
@@ -226,7 +226,12 @@ def smallest_period_bruteforce(
     what = f"full-period search for k={k}"
     if k >= 7:
         # lcm(1..k) >= 2^k from k = 7 on (Nair, 1982): a lower bound of
-        # the work below, charged before the sieve and the product.
+        # the work below, charged before the sieve and the product. Its
+        # bit length alone refuses it when the budget has fewer bits, so
+        # a huge k never builds the k-bit bound.
+        bits = (k + 1).bit_length() + k
+        if bits > budget.bit_length():
+            raise _over_budget(bits, budget, what)
         require_budget((k + 1) << k, budget, what)
     factors = {p: integer_log(p, k) for p in primes_upto(k)}
     big_l = lcm_upto(k)

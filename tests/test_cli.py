@@ -295,6 +295,38 @@ def test_g_range_is_under_the_work_budget(capsys, monkeypatch):
     assert code == 2 and out == "" and "budget" in err
 
 
+def test_g_windows_one_at_a_time_are_priced_by_their_size(capsys, monkeypatch):
+    # Under 16 windows, each is a product and a math.lcm of K + 1 terms,
+    # charged (K + 1)^2 w^2 as the lcm command charges its lcm: 2 * 16 here.
+    monkeypatch.setenv("APLCM_BUDGET", "31")
+    code, out, err = run(capsys, "g", "--k", "3", "--n", "1..2")
+    assert code == 2 and out == "" and "budget 31" in err
+    monkeypatch.setenv("APLCM_BUDGET", "32")
+    assert run(capsys, "g", "--k", "3", "--n", "1..2")[:2] == (0, "2\n2\n")
+    monkeypatch.delenv("APLCM_BUDGET")
+    # Three windows of 177 147 terms took minutes when charged by terms.
+    code, out, err = run(capsys, "g", "--k", "177146", "--a", "7", "--b", "3",
+                         "--n", "1..3")
+    assert code == 2 and out == ""
+    assert re.search(r"the --n range needs work ~2\^\d+ > budget", err)
+
+
+def test_g_ranges_in_use_stay_admitted(capsys, monkeypatch):
+    # A million windows of 10 terms go through the scan, still priced
+    # (HI - LO + 1) * (K + 1); cli-mix's widest ranges, 50 and 15 windows
+    # at k = 12, go through the scan and window by window. The kernel is
+    # stubbed to stop once a range is admitted.
+    def admitted(*args):
+        raise SelfCheckError("admitted")
+
+    monkeypatch.setattr("aplcm.cli._ratios", admitted)
+    for argv in (("--k", "9", "--n", "1..1000000"),
+                 ("--k", "12", "--a", "60", "--b", "59", "--n", "999999..1000048"),
+                 ("--k", "12", "--a", "60", "--b", "59", "--n", "999999..1000013")):
+        code, _, err = run(capsys, "g", *argv)
+        assert (code, err) == (1, "consistency failure: admitted\n"), argv
+
+
 def test_g_valuation_range_is_priced_by_its_prime_powers(capsys, monkeypatch):
     # --p takes one step per index for each power p**e <= k, plus one:
     # (HI - LO + 1) * (E + 1), 2 * 24 for p = 2 at k = 10^7.
@@ -390,6 +422,54 @@ def test_lcm_runs_both_methods_by_default(capsys):
     code, out, _ = run(capsys, "lcm", "--k", "3", "--a", "2", "--b", "1",
                        "--n", "1")
     assert code == 0 and out.strip() == "315"
+
+
+def test_lcm_without_a_table_takes_the_ratio_at_the_residue(capsys, monkeypatch):
+    # No table is built: the period method divides the window product by
+    # the one ratio at n's residue, at n = 0, 1 and -1 mod the period and
+    # at a 60-digit n, for reduced and non-reduced (a, b).
+    def refuse(*args):
+        raise AssertionError("build_period_table called without --table")
+
+    monkeypatch.setattr("aplcm.cli.build_period_table", refuse)
+    big = 123456789012345678901234567890123456789012345678901234567891
+    for k in range(13):
+        for a, b in ((1, 0), (7, 3), (6, 4), (12, 0), (35, 12)):
+            period = smallest_period(Progression(a, b), k).value
+            for n in (period, 2 * period, 1, period + 1, max(period - 1, 1), big):
+                want = str(math.lcm(*window_terms(Progression(a, b), Window(n, k))))
+                argv = ("lcm", "--k", str(k), "--a", str(a), "--b", str(b),
+                        "--n", str(n))
+                for method in ((), ("--method", "period")):
+                    code, out, err = run(capsys, *argv, *method)
+                    assert (code, out, err) == (0, want + "\n", ""), (argv, method)
+
+
+def test_lcm_without_a_table_exits_1_on_a_wrong_residue(capsys, monkeypatch):
+    # A ratio read one residue too far is caught by the direct lcm.
+    def shifted(a, b, n, k):
+        return gfun._ratio(a, b, n + 1, k)
+
+    monkeypatch.setattr("aplcm.identities._ratio", shifted)
+    for method in ((), ("--method", "period")):
+        code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10", *method)
+        assert (code, out) == (1, "")
+        assert err == ("consistency failure: lcm mismatch at n=10: direct 660, "
+                       "period-table 1320\n")
+        # At n = 11, residue 1, the fake reads the ratio at 2, which is 2,
+        # and halves the product 1716.
+        code, out, err = run(capsys, "lcm", "--k", "2", "--n", "11", *method)
+        assert (code, out) == (1, "") and "direct 1716, period-table 858" in err
+
+
+def test_lcm_k20_is_refused_as_its_table_would_be(capsys):
+    # The period method is admitted where its table would be, so this
+    # valid input still exits 2. bench/test_smoke.py::test_toy_run asserts
+    # that cli-mix, whose `lcm --k 20` command this is, has a failure.
+    code, out, err = run(capsys, "lcm", "--k", "20", "--n", "12345")
+    assert (code, out) == (2, "")
+    assert err == ("error: the table of a period of 25 bits for k=20 needs "
+                   "work ~2^30 > budget 10000000\n")
 
 
 def test_lcm_period_method_saves_and_reuses_table(capsys, tmp_path):

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -325,6 +326,34 @@ def test_bruteforce_refuses_a_large_k_before_it_sieves(monkeypatch):
     monkeypatch.setattr(period, "lcm_upto", refuse)
     with pytest.raises(BudgetExceededError, match=r"k=1000000 needs work ~2\^1000020\b"):
         smallest_period_bruteforce(Progression(1, 0), 10**6)
+
+
+def test_bruteforce_refuses_k_1e9_without_building_its_bound():
+    # (k + 1) << k would be a 125 MB int at k = 10^9; its bit length,
+    # k + 30, is compared with the budget's first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=r"k=1000000000 needs work ~2\^1000000030 > budget 10000000$"):
+            smallest_period_bruteforce(Progression(1, 0), 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bruteforce_lower_bound_refusal_names_the_same_work_either_way():
+    # Half the bound is refused by bit length alone, bound - 1 mostly by
+    # comparing the bound itself; both name ~2^N, N the bound's bits.
+    for k in range(7, 40):
+        bound = (k + 1) << k
+        for budget in (bound >> 1, bound - 1):
+            with pytest.raises(BudgetExceededError) as refused:
+                smallest_period_bruteforce(Progression(1, 0), k, budget)
+            assert str(refused.value) == (
+                f"full-period search for k={k} needs work "
+                f"~2^{bound.bit_length()} > budget {budget}"
+            )
 
 
 def test_bruteforce_lower_bound_never_exceeds_the_work():
