@@ -14,12 +14,14 @@ hands result to json.dumps as it is.
 
 The parser is built once per process, and each call parses a named
 subcommand's arguments in that subcommand's parser alone (_parse).
-Messages cut huge ints with errors._brief; --json keeps every digit.
+Messages cut huge ints and long inputs with errors._brief; --json keeps
+every digit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import functools
 import json
@@ -40,18 +42,16 @@ from .gfun import (
     _scan_blocks,
     window_terms,
 )
-from .identities import (
+from .numtheory import _product_tree, integer_log, primes_upto, require_prime
+from .period import (
+    DEFAULT_BUDGET,
     _residue_lcm,
     build_period_table,
     fast_lcm,
     load_period_table,
-    save_period_table,
-)
-from .numtheory import _product_tree, integer_log, primes_upto, require_prime
-from .period import (
-    DEFAULT_BUDGET,
     nonperiod_witness,
     period_rows,
+    save_period_table,
     smallest_period,
     smallest_period_bruteforce,
 )
@@ -82,9 +82,11 @@ def resolve_budget(explicit: int | None) -> int:
     try:
         value = int(env)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
+        raise ValueError(
+            f"{BUDGET_ENV_VAR}={_brief(repr(env))} is not an integer"
+        ) from None
     if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {_brief(value)}")
     return value
 
 
@@ -110,26 +112,36 @@ def _parse_index_range(text: str) -> tuple[int, int]:
         lo_val = int(lo)
         hi_val = int(hi) if sep else lo_val
     except ValueError:
-        raise ValueError(f"bad index range {text!r}; expected N or N..M") from None
+        raise ValueError(
+            f"bad index range {_brief(repr(text))}; expected N or N..M"
+        ) from None
     if lo_val < 1:
-        raise ValueError(f"start index must be >= 1, got {lo_val}")
+        raise ValueError(f"start index must be >= 1, got {_brief(lo_val)}")
     if hi_val < lo_val:
-        raise ValueError(f"empty index range {text!r}")
+        raise ValueError(f"empty index range {_brief(repr(text))}")
     return lo_val, hi_val
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+def _int_arg(text: str, kind: str, low: int) -> int:
+    """int(text), at least low; else the message argparse would give for
+    the type named kind, with the text cut by _brief."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind} value: {_brief(repr(text))}"
+        ) from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {_brief(value)}")
     return value
+
+
+def _nonneg(text: str) -> int:
+    return _int_arg(text, "_nonneg", 0)
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_arg(text, "_positive", 1)
 
 
 def _budget_arg(text: str):
@@ -139,10 +151,12 @@ def _budget_arg(text: str):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"budget must be an integer or 'default', got {text!r}"
+            f"budget must be an integer or 'default', got {_brief(repr(text))}"
         ) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be positive, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"budget must be positive, got {_brief(value)}"
+        )
     return value
 
 
@@ -266,8 +280,9 @@ def _acquire_table(prog, k, path, budget):
         table = load_period_table(path)
         if table.prog != prog or table.k != k:
             raise ValueError(
-                f"table {path} is for (a={table.prog.a}, b={table.prog.b}, "
-                f"k={table.k}), not (a={prog.a}, b={prog.b}, k={k})"
+                f"table {path} is for (a={_brief(table.prog.a)}, "
+                f"b={_brief(table.prog.b)}, k={_brief(table.k)}), not "
+                f"(a={_brief(prog.a)}, b={_brief(prog.b)}, k={_brief(k)})"
             )
         return table
     table = build_period_table(prog, k, budget)
@@ -381,27 +396,17 @@ def cmd_verify(args):
     # and APLCM_BUDGET may change between calls. inputs echo this value.
     args.budget = resolve_budget(args.budget)
     reports = [run_suite(name, args.budget, args.jobs) for name in names]
-    result = [
-        {
-            "suite": r.suite,
-            "cases_run": r.cases_run,
-            "failures": [
-                {
-                    "inputs": f.inputs,
-                    "expected": f.expected,
-                    "actual": f.actual,
-                }
-                for f in r.failures
-            ],
-            # Only a suite that dropped records says so: a passing run's
-            # output stays as it was.
-            **({"failures_dropped": r.failures_dropped}
-               if r.failures_dropped else {}),
-            "elapsed_s": round(r.elapsed, 3),
-            "passed": r.passed,
-        }
-        for r in reports
-    ]
+    result = []
+    for report in reports:
+        row = dataclasses.asdict(report)
+        elapsed, dropped = row.pop("elapsed"), row.pop("failures_dropped")
+        # Only a suite that dropped records says so: a passing run's
+        # output stays as it was.
+        if dropped:
+            row["failures_dropped"] = dropped
+        row["elapsed_s"] = round(elapsed, 3)
+        row["passed"] = report.passed
+        result.append(row)
     # The FAIL lines and "passed": false already name the failing suites,
     # so this mismatch adds no message.
     mismatch = None if all(r.passed for r in reports) else ""

@@ -36,17 +36,24 @@ def _over_budget(bits: int, budget: int, what: str) -> BudgetExceededError:
 
 
 # An int with more digits than this shows in a message as its first and
-# last _BRIEF_EDGE digits and its digit count, so one line stays short
-# however large n or an lcm gets.
+# last _BRIEF_EDGE digits and its digit count, and a str with more
+# characters as its first and last _BRIEF_EDGE characters and its length,
+# so one line stays short however large n, an lcm or an input gets.
 _BRIEF_DIGITS = 100
 _BRIEF_EDGE = 20
 
 
 def _brief(value) -> str:
-    """str(value), but an int above _BRIEF_DIGITS digits is cut to its
-    edges. The cut takes one power of ten and a few linear steps, never
-    the whole decimal string, so it needs no int/str digit limit lifted.
+    """str(value), but an int above _BRIEF_DIGITS digits or a str above
+    _BRIEF_DIGITS characters is cut to its edges. The int's cut takes one
+    power of ten and a few linear steps, never the whole decimal string,
+    so it needs no int/str digit limit lifted.
     """
+    if type(value) is str:
+        if len(value) <= _BRIEF_DIGITS:
+            return value
+        return (f"{value[:_BRIEF_EDGE]}...{value[-_BRIEF_EDGE:]} "
+                f"({len(value)} characters)")
     if type(value) is not int or value.bit_length() < 333:  # < 10**100
         return str(value)
     size = abs(value)

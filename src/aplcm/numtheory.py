@@ -5,7 +5,8 @@ integers; nothing ever goes through floating point. Primes come from
 one shared sieve, or from Miller-Rabin above it: there is no second
 source of primes, and no factoring engine. lcm(1..k) is a plain int:
 lcm_upto multiplies out its prime-power blocks, independently of the
-checkpoint cache that _cached_lcm_upto keeps for the period.
+checkpoint cache that _cached_lcm_upto keeps for the period. The
+subset-gcd lcm, lcm_by_inclusion_exclusion, uses math.gcd alone.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import operator
 from bisect import bisect_left, bisect_right
 from itertools import compress
 
-from .errors import SelfCheckError
+from .errors import BudgetExceededError, SelfCheckError, _brief
 
 __all__ = [
     "MILLER_RABIN_BOUND",
     "integer_log",
     "is_prime",
+    "lcm_by_inclusion_exclusion",
     "lcm_many",
     "lcm_upto",
     "primes_upto",
@@ -42,6 +44,60 @@ def lcm_many(xs) -> int:
     if min(xs) < 1:
         raise ValueError(f"lcm requires positive entries, got {min(xs)}")
     return math.lcm(*xs)
+
+
+MAX_INCLUSION_EXCLUSION_LEN = 20
+
+
+def lcm_by_inclusion_exclusion(xs) -> int:
+    """lcm via the alternating product of gcds over all subsets:
+
+        lcm(x_1..x_n) = prod over nonempty subsets S of
+                        gcd(S) ** (+1 if |S| odd else -1)
+
+    The subsets are grouped by their last entry. Those ending in x_i
+    contribute x_i / lcm(gcd(x_1, x_i), ..., gcd(x_{i-1}, x_i)), and that
+    inner lcm is the same identity over fewer entries, so the product is
+    taken by recursion as one exact division per entry: no signed tally
+    and no factoring, and every inner lcm divides its entry. A remainder
+    is a bug and raises SelfCheckError. Only math.gcd is used, so the
+    identity stays independent of math.lcm. The cap of 20 stays: x_i =
+    P / p_i, P the product of the first n primes, gives every subset its
+    own gcd, and the recursion still visits all 2**n - 1 of them.
+    """
+    xs = list(xs)
+    n = len(xs)
+    if n < 1:
+        raise ValueError("need at least one entry")
+    if n > MAX_INCLUSION_EXCLUSION_LEN:
+        raise BudgetExceededError(
+            f"{n} entries means 2**{n} subsets; the cap is "
+            f"{MAX_INCLUSION_EXCLUSION_LEN}"
+        )
+    if min(xs) < 1:
+        raise ValueError("entries must be positive")
+    return _lcm_by_last_entry(xs)
+
+
+def _lcm_by_last_entry(xs) -> int:
+    """lcm_by_inclusion_exclusion without validation: positive entries,
+    any iterable."""
+    lcm, before = 1, []
+    for x in xs:
+        # gcds equal to 1 and repeated gcds leave the inner lcm unchanged.
+        gcds = {math.gcd(y, x) for y in before}
+        gcds.discard(1)
+        before.append(x)
+        if gcds:
+            quotient, rest = divmod(x, _lcm_by_last_entry(gcds))
+            if rest:
+                raise SelfCheckError(
+                    "the lcm of an entry's gcds with the entries before it "
+                    f"does not divide the entry {_brief(x)}"
+                )
+            x = quotient
+        lcm *= x
+    return lcm
 
 
 # The first 13 primes. Miller-Rabin to these bases is exact for every

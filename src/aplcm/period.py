@@ -1,4 +1,5 @@
-"""Smallest period of the window ratio: closed form and brute-force oracles.
+"""Smallest period of the window ratio: closed form, brute-force oracles,
+and the lcm evaluation it buys.
 
 The ratio n -> window_ratio(prog, Window(n, k)) is periodic, and
 lcm(1..k) is always a period: shifting the start index by lcm(1..k)
@@ -11,24 +12,31 @@ primes up to the reduced difference and the prime divisors of k + 1 are
 visited, and the period is lcm(1..k), from numtheory's shared
 checkpoint cache, divided by the blocks that drop out. One sparse table,
 _exponents, states that rule as a plain {p: e} dict: closed_form_period
-and PeriodReport.exponents return it. The brute-force searches below
-are oracles, independent of it and the cache.
+and PeriodReport.exponents return it. fast_lcm divides a window's
+product by the ratio at its residue in a PeriodTable of one period. The
+brute-force searches below are oracles, independent of the rule and
+the cache.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .errors import SelfCheckError, _over_budget, require_budget
+from .errors import SelfCheckError, _brief, _over_budget, require_budget
 from .gfun import (
     Progression,
     _counted_valuation,
     _counted_valuations,
+    _first_multiple,
+    _ratio,
     _ratios,
     _require_reduced,
+    _terms,
 )
 from .numtheory import (
     _cached_lcm_upto,
@@ -43,10 +51,15 @@ from .numtheory import (
 __all__ = [
     "DEFAULT_BUDGET",
     "PeriodReport",
+    "PeriodTable",
+    "build_period_table",
     "closed_form_period",
     "exceptional_factor",
+    "fast_lcm",
+    "load_period_table",
     "nonperiod_witness",
     "period_rows",
+    "save_period_table",
     "smallest_period",
     "smallest_period_bruteforce",
     "valuation_period_bruteforce",
@@ -109,8 +122,6 @@ class PeriodReport:
     """
 
     k: int
-    a: int
-    b: int
     a_reduced: int
     exceptional: int
     exceptional_prime: int | None
@@ -164,7 +175,7 @@ def smallest_period(prog: Progression, k: int) -> PeriodReport:
             f"lcm(1..{k}) is not a multiple of the exceptional factor "
             f"{exc_value} times the removed blocks {removed}"
         )
-    return PeriodReport(k, prog.a, prog.b, ar, *drops, value=value)
+    return PeriodReport(k, ar, *drops, value=value)
 
 
 def period_rows(
@@ -205,6 +216,119 @@ def closed_form_period(k: int, a: int) -> dict[int, int]:
     sparse table, derived without lcm(1..k); bench/workloads.py times it.
     """
     return _exponents(k, *_drops(k, a)[1:])
+
+
+@dataclass(frozen=True)
+class PeriodTable:
+    """Ratio values over one full period.
+
+    values[i] holds the ratio at the representative start index i for
+    i >= 1; index 0 holds the value at n = period (the ratio is not
+    defined at 0, and periodicity makes n = period the right stand-in
+    for residue 0).
+    """
+
+    prog: Progression
+    k: int
+    period: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
+        if len(self.values) != self.period:
+            raise ValueError(
+                f"expected {_brief(self.period)} values, got {len(self.values)}"
+            )
+        if min(self.values) < 1:
+            raise ValueError(
+                f"table entries must be >= 1, got {_brief(min(self.values))}"
+            )
+
+
+def build_period_table(
+    prog: Progression, k: int, budget: int = DEFAULT_BUDGET
+) -> PeriodTable:
+    period = smallest_period(prog, k).value
+    _require_table_budget(period, k, budget)
+    values = _ratios(prog.a, prog.b, k, 1, period)
+    # n = period stands in for residue 0 (n = 0 would give a zero term).
+    return PeriodTable(prog, k, period, (values[-1], *values[:-1]))
+
+
+def _require_table_budget(period: int, k: int, budget: int) -> None:
+    """The one admission rule of the period method, with or without a
+    table: the table's period * (k + 1) window terms."""
+    what = f"the table of a period of {period.bit_length()} bits for k={k}"
+    require_budget(period * (k + 1), budget, what)
+
+
+def fast_lcm(table: PeriodTable, n: int) -> int:
+    """lcm of the window starting at n: one big product and one exact
+    division by the tabulated ratio at n's residue.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _divide_by_ratio(table.prog, table.k, n, table.values[n % table.period])
+
+
+def _residue_lcm(prog: Progression, k: int, n: int, budget: int) -> int:
+    """fast_lcm without a table, unvalidated: the ratio at n's residue r
+    is computed at r itself (r = period for residue 0, as in
+    PeriodTable.values[0]). Admitted exactly where the table would be.
+    """
+    period = smallest_period(prog, k).value
+    _require_table_budget(period, k, budget)
+    ratio = _ratio(prog.a, prog.b, n % period or period, k)
+    return _divide_by_ratio(prog, k, n, ratio)
+
+
+def _divide_by_ratio(prog: Progression, k: int, n: int, ratio: int) -> int:
+    """The window product at n divided by the ratio taken for it; a
+    remainder means the period is wrong and raises SelfCheckError."""
+    product = math.prod(_terms(prog.a, prog.b, n, k))
+    quotient, remainder = divmod(product, ratio)
+    if remainder:
+        raise SelfCheckError(
+            f"inexact division at n={_brief(n)} for (a={_brief(prog.a)}, "
+            f"b={_brief(prog.b)}), k={_brief(k)}: the ratio at n's residue "
+            "does not match the window, which means the period is wrong"
+        )
+    return quotient
+
+
+_HEADER_RE = re.compile(
+    r"^aplcm-table v1 a=(\d+) b=(\d+) k=(\d+) period=(\d+)$"
+)
+
+
+def save_period_table(table: PeriodTable, path) -> None:
+    """Write the versioned flat-file form: a header line, then one
+    decimal ratio value per line, index 0 first.
+    """
+    lines = [
+        f"aplcm-table v1 a={table.prog.a} b={table.prog.b} "
+        f"k={table.k} period={table.period}"
+    ]
+    lines.extend([str(v) for v in table.values])
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_period_table(path) -> PeriodTable:
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty table file")
+    m = _HEADER_RE.match(lines[0])
+    if m is None:
+        raise ValueError(f"{path}: malformed header {_brief(repr(lines[0]))}")
+    a, b, k, period = map(int, m.groups())
+    # PeriodTable owns the checks on the period, the count and the entries.
+    try:
+        values = tuple(map(int, lines[1:]))
+        return PeriodTable(Progression(a, b), k, period, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def smallest_period_bruteforce(
@@ -304,34 +428,30 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     with l = (k + 1) mod p**E, place a multiple of p**E at the window
     start when 1 <= l <= p**E - p**(E-1), otherwise at offset
     p**(E-1) - 1; either way the window starting p**(E-1) later holds
-    one fewer multiple of p**E, so the valuations differ. The returned
-    witness is re-verified by scan, never trusted.
+    one fewer multiple of p**E, so the valuations differ. The multiple is
+    placed by gfun._first_multiple. The returned witness is re-verified
+    by scan, never trusted.
     """
     _require_reduced(prog)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     # The O(1) checks come before primality, whose cost grows with p.
     if p > k:
-        raise ValueError(f"{p} exceeds k={k}")
+        raise ValueError(f"{_brief(p)} exceeds k={_brief(k)}")
     if p >= 2 and prog.a % p == 0:
-        raise ValueError(f"{p} divides the difference a={prog.a}")
+        raise ValueError(f"{_brief(p)} divides the difference a={_brief(prog.a)}")
     require_prime(p)
     max_exp = integer_log(p, k)
     if _valuation(p, k + 1) >= max_exp:
         raise ValueError(
-            f"valuation of k+1={k + 1} at p={p} reaches the maximal "
+            f"valuation of k+1={_brief(k + 1)} at p={p} reaches the maximal "
             f"exponent {max_exp}; the valuation period is 1 and no "
             "witness exists"
         )
     span = p**max_exp
     half = p ** (max_exp - 1)
-    a_inv = pow(prog.a, -1, span)
-    res = (k + 1) % span
-    if 1 <= res <= span - half:
-        residue = (-prog.b * a_inv) % span
-    else:
-        residue = (-prog.b * a_inv - (half - 1)) % span
-    n0 = residue if residue >= 1 else span
+    offset = 0 if 1 <= (k + 1) % span <= span - half else half - 1
+    n0 = _first_multiple(span, prog.a, prog.b, offset) or span
     before = _counted_valuation(p, prog.a, prog.b, n0, k)
     after = _counted_valuation(p, prog.a, prog.b, n0 + half, k)
     if before == after:

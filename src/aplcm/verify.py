@@ -36,15 +36,11 @@ from .gfun import (
     window_ratio,
     window_terms,
 )
-from .identities import (
-    build_period_table,
-    fast_lcm,
-    lcm_by_inclusion_exclusion,
-)
 from .numtheory import (
     _cached_lcm_upto,
     _valuation,
     integer_log,
+    lcm_by_inclusion_exclusion,
     lcm_upto,
     primes_upto,
     require_prime,
@@ -52,7 +48,9 @@ from .numtheory import (
 )
 from .period import (
     DEFAULT_BUDGET,
+    build_period_table,
     exceptional_factor,
+    fast_lcm,
     nonperiod_witness,
     smallest_period,
     smallest_period_bruteforce,

@@ -114,7 +114,7 @@ def test_remaining_suites_pass(name):
 
 
 # The modules whose __all__ lists make up the package's, in its order.
-PUBLIC_MODULES = ("errors", "gfun", "identities", "numtheory", "period", "verify")
+PUBLIC_MODULES = ("errors", "gfun", "numtheory", "period", "verify")
 
 
 def _loaded_names():

@@ -26,7 +26,14 @@ from aplcm.numtheory import (
     primes_upto,
     valuation,
 )
-from aplcm.period import PeriodReport, smallest_period
+from aplcm.period import (
+    PeriodReport,
+    build_period_table,
+    exceptional_factor,
+    fast_lcm,
+    nonperiod_witness,
+    smallest_period,
+)
 
 from test_acceptance import CASES_RUN
 
@@ -450,7 +457,7 @@ def test_lcm_without_a_table_exits_1_on_a_wrong_residue(capsys, monkeypatch):
     def shifted(a, b, n, k):
         return gfun._ratio(a, b, n + 1, k)
 
-    monkeypatch.setattr("aplcm.identities._ratio", shifted)
+    monkeypatch.setattr("aplcm.period._ratio", shifted)
     for method in ((), ("--method", "period")):
         code, out, err = run(capsys, "lcm", "--k", "2", "--n", "10", *method)
         assert (code, out) == (1, "")
@@ -522,6 +529,65 @@ def test_brief_cuts_ints_above_100_digits():
     assert _brief(7 * 10**9999 + 12) == f"7{'0' * 19}...{'0' * 18}12 (10000 digits)"
     for value in (0, True, None, "x", (10**200,)):
         assert _brief(value) == str(value)
+    # A str is cut the same way above 100 characters.
+    assert _brief("x" * 100) == "x" * 100
+    assert _brief("a" + "x" * 99 + "z") == f"a{'x' * 19}...{'x' * 19}z (101 characters)"
+
+
+NINES = "9" * 20_000
+
+
+@pytest.mark.parametrize(
+    "argv, table, budget, message",
+    [
+        (("g", "--k", "1", "--n", f"{NINES}..1"), None, None,
+         "error: empty index range '9"),
+        (("g", "--k", "1", "--n", f"x{NINES}"), None, None,
+         "error: bad index range 'x9"),
+        (("lcm", "--k", "1", "--n", "5"), "x" * 50_000, None,
+         "malformed header 'xxx"),
+        (("lcm", "--k", "1", "--n", "5"),
+         f"aplcm-table v1 a=7{NINES} b=0 k=1 period=1\n1", None, "is for (a=79999"),
+        (("period", "--k", f"x{NINES}"), None, None,
+         "argument --k: invalid _nonneg value: 'x9"),
+        (("period", "--k", "3"), None, f"x{NINES}", "error: APLCM_BUDGET='x9"),
+    ],
+    ids=["empty-range", "bad-range", "header", "header-a", "k", "budget-env"],
+)
+def test_huge_bad_inputs_exit_2_with_short_stderr_lines(
+    capsys, monkeypatch, tmp_path, argv, table, budget, message
+):
+    if table is not None:
+        path = tmp_path / "table.txt"
+        path.write_text(table + "\n")
+        argv += ("--table", str(path))
+    if budget is not None:
+        monkeypatch.setenv("APLCM_BUDGET", budget)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    assert max(len(line.encode()) for line in err.splitlines()) <= 400
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: cli._budget_arg("abc"), cli.argparse.ArgumentTypeError,
+         "budget must be an integer or 'default', got 'abc'"),
+        (lambda: fast_lcm(build_period_table(Progression(1, 0), 2), 0),
+         ValueError, "n must be >= 1, got 0"),
+        (lambda: lcm_upto(-1), ValueError, "lcm_upto requires k >= 0, got -1"),
+        (lambda: exceptional_factor(-1, 1), ValueError, "k must be >= 0, got -1"),
+        (lambda: exceptional_factor(5, 0), ValueError, "a must be >= 1, got 0"),
+        (lambda: nonperiod_witness(2, Progression(1, 0), -1), ValueError,
+         "k must be >= 0, got -1"),
+    ],
+    ids=["verify-budget", "fast-lcm-n", "lcm-upto-k", "exceptional-k",
+         "exceptional-a", "witness-k"],
+)
+def test_input_guards_name_the_bad_value(call, kind, message):
+    with pytest.raises(kind) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_lcm_malformed_table_files_exit_2_naming_the_file(capsys, tmp_path):
@@ -735,7 +801,8 @@ def test_verify_json_single_object(capsys):
     assert report["passed"] is True
     assert report["cases_run"] == "10001"  # every integer is a decimal string
     assert report["failures"] == []
-    assert "failures_dropped" not in report
+    # A suite that dropped no records has no failures_dropped key.
+    assert list(report) == ["suite", "cases_run", "failures", "elapsed_s", "passed"]
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch):
@@ -761,6 +828,10 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     assert len(report["failures"]) == verify.MAX_FAILURES_KEPT
     assert int(report["failures_dropped"]) == 10001 - verify.MAX_FAILURES_KEPT
     assert report["failures"][0]["inputs"] == {"k": "0"}
+    assert list(report) == ["suite", "cases_run", "failures", "failures_dropped",
+                            "elapsed_s", "passed"]
+    for failure in report["failures"]:
+        assert list(failure) == ["inputs", "expected", "actual"]
 
 
 def test_verify_all_reports_every_suite_when_a_case_raises(capsys, monkeypatch):

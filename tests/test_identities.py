@@ -8,14 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from aplcm import identities, verify
+from aplcm import numtheory, verify
 from aplcm.errors import BudgetExceededError, SelfCheckError
 from aplcm.gfun import Progression, Window, _ratio, window_ratio, window_terms
-from aplcm.identities import (
+from aplcm.numtheory import lcm_by_inclusion_exclusion
+from aplcm.period import (
     PeriodTable,
     build_period_table,
     fast_lcm,
-    lcm_by_inclusion_exclusion,
     load_period_table,
     save_period_table,
 )
@@ -64,7 +64,7 @@ def test_inclusion_exclusion_with_a_large_prime_entry():
 
 def test_inclusion_exclusion_raises_on_an_inexact_step(monkeypatch):
     # With gcd(3, 5) taken as 2, the inner lcm 2 does not divide 5.
-    monkeypatch.setattr(identities, "math", SimpleNamespace(gcd=lambda x, y: 2))
+    monkeypatch.setattr(numtheory, "math", SimpleNamespace(gcd=lambda x, y: 2))
     with pytest.raises(SelfCheckError):
         lcm_by_inclusion_exclusion([3, 5])
 
