@@ -12,10 +12,12 @@ iterable of lines, consumed only without --json, and None or the message
 of a mismatch, which exits 1. _run does the rest: it renders inputs and
 hands result to json.dumps as it is.
 
-The parser is built once per process, and each call parses a named
-subcommand's arguments in that subcommand's parser alone (_parse).
-Messages cut huge ints and long inputs with errors._brief; --json keeps
-every digit.
+The parser is built once per process. Each call reads a named
+subcommand's plain arguments (exact option strings, one value each for
+a value option) from that subcommand's own option table, and leaves any
+other argv to argparse (_parse), so usage, help and error texts are
+always argparse's. Messages cut huge ints and long inputs with
+errors._brief; --json keeps every digit.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def _acquire_table(prog, k, path, budget):
         table = load_period_table(path)
         if table.prog != prog or table.k != k:
             raise ValueError(
-                f"table {path} is for (a={_brief(table.prog.a)}, "
+                f"table {_brief(path)} is for (a={_brief(table.prog.a)}, "
                 f"b={_brief(table.prog.b)}, k={_brief(table.k)}), not "
                 f"(a={_brief(prog.a)}, b={_brief(prog.b)}, k={_brief(k)})"
             )
@@ -331,8 +333,15 @@ def cmd_lcm(args):
 
 def cmd_witness(args):
     prog = Progression(args.a, args.b)
+    # The four valuations, two in nonperiod_witness and two below, each take
+    # one modular inverse per power p**e <= k, of up to w = words(k) 64-bit
+    # words, so about E w^2 word operations each; charged before the first.
+    e = integer_log(args.p, args.k) if 2 <= args.p <= args.k else 0
+    w = 1 + args.k.bit_length() // 64
+    require_budget(4 * e * w**2, resolve_budget(None),
+                   "the valuations at the powers of p up to k")
     n0 = nonperiod_witness(args.p, prog, args.k)  # checks every input
-    half = args.p ** (integer_log(args.p, args.k) - 1)
+    half = args.p ** (e - 1)
     before = _counted_valuation(args.p, args.a, args.b, n0, args.k)
     after = _counted_valuation(args.p, args.a, args.b, n0 + half, args.k)
     result = {
@@ -496,21 +505,66 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(old_limit)
 
 
-def _parse(parser, argv):
-    """parser.parse_args(argv), with a named subcommand's arguments parsed
-    by its parser alone into the namespace the top-level parser would
-    build. The top-level parser answers the rest: no arguments, help, an
-    unknown name, or arguments the subcommand leaves over.
-    """
+@functools.cache
+def _subcommands(parser):
+    """The subcommand name -> parser map of a parser from build_parser."""
     (choices,) = [action.choices for action in parser._actions
                   if isinstance(action, argparse._SubParsersAction)]
-    sub = choices.get(argv[0]) if argv else None
-    if sub is not None:
-        known = argparse.Namespace(command=argv[0])
-        args, extras = sub.parse_known_args(argv[1:], known)
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    return choices
+
+
+def _parse_plain(sub, argv):
+    """The namespace parser.parse_args(argv) builds for subcommand argv[0],
+    whose parser is sub, read from sub's option table; None unless every
+    token after argv[0] is an exact option string, each value option has
+    one value not starting with "-" that passes its type and choices, each
+    flag has none, and every required option is given.
+
+    Keys come in argparse's order: command, each action's dest in turn
+    (its default where not given), then sub's set_defaults.
+    """
+    options = sub._option_string_actions
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        kind = type(action)
+        if kind is argparse._StoreTrueAction:
+            given[action.dest] = True
+        elif kind is argparse._StoreAction and action.nargs is None:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action.dest] = value
+        else:
+            return None
+    values = {"command": argv[0]}
+    for action in sub._actions:
+        if action.dest in given:
+            values[action.dest] = given[action.dest]
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            values[action.dest] = action.default
+    for key, value in sub._defaults.items():
+        values.setdefault(key, value)
+    return argparse.Namespace(**values)
+
+
+def _parse(parser, argv):
+    """parser.parse_args(argv), read from the option table of the named
+    subcommand where its arguments are plain (_parse_plain). argparse
+    parses the rest, so its usage, help and error texts are unchanged.
+    """
+    sub = _subcommands(parser).get(argv[0]) if argv else None
+    args = None if sub is None else _parse_plain(sub, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def _run(parser, argv) -> int:
@@ -540,7 +594,13 @@ def _run(parser, argv) -> int:
         else:
             for line in lines:
                 print(line)
-    except (ValueError, BudgetExceededError, OSError) as exc:
+    except (ValueError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # str(exc) quotes the whole path, as long as the argument it came from.
+        if exc.filename is not None:
+            exc = OSError(exc.errno, exc.strerror, _brief(str(exc.filename)))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SelfCheckError as exc:

@@ -317,18 +317,19 @@ def save_period_table(table: PeriodTable, path) -> None:
 def load_period_table(path) -> PeriodTable:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
+    where = _brief(str(path))
     if not lines:
-        raise ValueError(f"{path}: empty table file")
+        raise ValueError(f"{where}: empty table file")
     m = _HEADER_RE.match(lines[0])
     if m is None:
-        raise ValueError(f"{path}: malformed header {_brief(repr(lines[0]))}")
+        raise ValueError(f"{where}: malformed header {_brief(repr(lines[0]))}")
     a, b, k, period = map(int, m.groups())
     # PeriodTable owns the checks on the period, the count and the entries.
     try:
         values = tuple(map(int, lines[1:]))
         return PeriodTable(Progression(a, b), k, period, values)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def smallest_period_bruteforce(

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import hashlib
 import itertools
@@ -551,8 +552,11 @@ NINES = "9" * 20_000
         (("period", "--k", f"x{NINES}"), None, None,
          "argument --k: invalid _nonneg value: 'x9"),
         (("period", "--k", "3"), None, f"x{NINES}", "error: APLCM_BUDGET='x9"),
+        (("lcm", "--k", "1", "--n", "5", "--table", "x" * 5000), None, None,
+         "File name too long: 'xxx"),
     ],
-    ids=["empty-range", "bad-range", "header", "header-a", "k", "budget-env"],
+    ids=["empty-range", "bad-range", "header", "header-a", "k", "budget-env",
+         "table-path"],
 )
 def test_huge_bad_inputs_exit_2_with_short_stderr_lines(
     capsys, monkeypatch, tmp_path, argv, table, budget, message
@@ -968,8 +972,8 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-# main parses a named subcommand's arguments with that subcommand's parser
-# alone; each argv here must give what the top-level parser gives.
+# main reads a named subcommand's plain arguments from that subcommand's
+# option table; each argv here must give what the top-level parser gives.
 DISPATCH_VALID = (
     ("period", "--k", "7", "--a", "6", "--b", "1", "--verify", "--json"),
     ("g", "--k", "3", "--n", "1..6", "--p", "2"),
@@ -981,6 +985,10 @@ DISPATCH_VALID = (
     ("period", "--k", "5", "--verif"),
     ("period", "--k", "4", "--k", "5", "--a", "2"),
     ("verify", "--json", "--", "consecutive-periods"),
+    ("period", "--k", "5", "--verify", "--verify"),
+    ("lcm", "--k", "2", "--n", "5", "--n", "6"),
+    # argparse takes "-3" as --n's value; the command then refuses it.
+    ("g", "--k", "1", "--n", "-3"),
 )
 
 DISPATCH_INVALID = (
@@ -993,11 +1001,16 @@ DISPATCH_INVALID = (
     ("--", "period", "--k", "5"),
     ("period", "--k"),
     ("period", "--k", "x"),
-    # Left over by the subcommand's parser, so the top-level parser says
+    # Left over by the subcommand, so the top-level parser says
     # "aplcm: error: unrecognized arguments".
     ("period", "--k", "5", "extra"),
     ("period", "--k", "5", "--frob"),
     ("lcm", "--k", "2", "--n", "5", "--methd", "direct"),
+    ("period", "--k", "-1"),
+    ("lcm", "--k", "2", "--n", "5", "--table", "--json"),
+    ("lcm", "--k", "2", "--n", "5", "--method", "both"),
+    ("period", "--k", ""),
+    ("lcm", "--k", "2"),
 )
 
 
@@ -1025,9 +1038,37 @@ def test_a_subcommand_parses_as_the_top_level_parser_would(
         return namespace
 
     monkeypatch.setattr(cli, "_parse", spy)
-    assert main(list(argv)) == 0
+    assert main(list(argv)) == (2 if "-3" in argv else 0)
     capsys.readouterr()
     assert seen == [list(vars(parsed).items())]
+
+
+def test_plain_argv_is_parsed_without_argparse(capsys, monkeypatch, tmp_path):
+    # Shaped like the benchmark's command mix; a fallback to argparse here
+    # would cost each command its parse time again.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(34)
+    argvs = []
+    for _ in range(5):
+        a, b, k = rng.randint(1, 60), rng.randint(0, 60), rng.randint(2, 10)
+        n = rng.randrange(1, 10**30)
+        argvs += [
+            ("period", "--k", str(rng.randint(1, 900)), "--a", str(a), "--b", str(b)),
+            ("g", "--k", str(k), "--a", str(a), "--b", str(b), "--n", f"{n}..{n + 49}"),
+            ("lcm", "--k", str(k), "--a", str(a), "--b", str(b), "--n", str(n)),
+            ("lcm", "--k", str(k), "--a", str(a), "--b", str(b), "--n", str(n),
+             "--method", "period", "--table", f"t-{k}-{a}-{b}.txt"),
+            ("witness", "--k", "5", "--a", str(2 * a + 1), "--b", str(2 * a), "--p", "2"),
+            ("table", "--k-max", str(rng.randint(0, 30)), "--a", str(a), "--b", str(b)),
+        ]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    for argv in argvs:
+        code, _, err = run(capsys, *argv, "--json")
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("argv", DISPATCH_INVALID, ids=" ".join)
