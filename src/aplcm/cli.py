@@ -37,7 +37,6 @@ from .errors import BudgetExceededError, SelfCheckError, _brief, require_budget
 from .gfun import (
     Progression,
     Window,
-    _counted_valuation,
     _counted_valuations,
     _ratios,
     _require_reduced,
@@ -333,17 +332,15 @@ def cmd_lcm(args):
 
 def cmd_witness(args):
     prog = Progression(args.a, args.b)
-    # The four valuations, two in nonperiod_witness and two below, each take
-    # one modular inverse per power p**e <= k, of up to w = words(k) 64-bit
-    # words, so about E w^2 word operations each; charged before the first.
+    # nonperiod_witness checks every input, then counts both valuations in
+    # one pass: per power p**e <= k, one inverse and one reduction of up to
+    # w = words(k) 64-bit words serve both points, 2 E w^2 word operations.
     e = integer_log(args.p, args.k) if 2 <= args.p <= args.k else 0
     w = 1 + args.k.bit_length() // 64
-    require_budget(4 * e * w**2, resolve_budget(None),
+    require_budget(2 * e * w**2, resolve_budget(None),
                    "the valuations at the powers of p up to k")
-    n0 = nonperiod_witness(args.p, prog, args.k)  # checks every input
+    n0, before, after = nonperiod_witness(args.p, prog, args.k)
     half = args.p ** (e - 1)
-    before = _counted_valuation(args.p, args.a, args.b, n0, args.k)
-    after = _counted_valuation(args.p, args.a, args.b, n0 + half, args.k)
     result = {
         "n0": str(n0),
         "shift": str(half),

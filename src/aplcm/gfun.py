@@ -12,11 +12,11 @@ comes from _ratios, which carries each part of a window as its lcm and
 its ratio, never its product, and joins two parts with one gcd of
 their lcms. The ratio's valuation at a prime is computed two
 independent ways: directly, and by counting multiples of prime powers
-inside the window. The count is per window (_counted_valuation) or, for
-a run of consecutive start indices, per range (_counted_valuations),
-which takes one modular inverse per prime power for the whole run.
-Both are private and unvalidated; their callers check the progression
-and the prime first.
+inside the window. The count takes one modular inverse per prime power
+and serves several windows from it: two, at n and n + shift
+(_counted_pair, the witness's proof), or a run of consecutive start
+indices (_counted_valuations). Both are private and unvalidated; their
+callers check the progression and the prime first.
 """
 
 from __future__ import annotations
@@ -219,27 +219,30 @@ def _first_multiple(pe: int, a: int, b: int, n: int) -> int:
     return (-b * pow(a, -1, pe) - n) % pe
 
 
-def _counted_valuation(p: int, a: int, b: int, n: int, k: int) -> int:
-    """Valuation of the window ratio at p, unvalidated (a, b coprime, p
-    prime): each multiple of p**e beyond the first adds one factor p.
-
-    The multiples of p**e among the k + 1 terms start at offset r, so
-    there are (k - r) // p**e of them beyond the first; r < p**e <= k.
+def _counted_pair(p: int, a: int, b: int, n: int, shift: int,
+                  k: int) -> tuple[int, int]:
+    """The ratio's valuations at p at n and n + shift, unvalidated (a, b
+    coprime, p prime): each multiple of p**e beyond the first adds one
+    factor p. The multiples of p**e among the k + 1 terms start at offset
+    r < p**e <= k at n and (r - shift) mod p**e at n + shift, so one
+    inverse per p**e counts both windows.
     """
     if a % p == 0:
-        return 0
-    total = 0
+        return 0, 0
+    before = after = 0
     pe = p
     while pe <= k:
-        total += (k - _first_multiple(pe, a, b, n)) // pe
+        r = _first_multiple(pe, a, b, n)
+        before += (k - r) // pe
+        after += (k - (r - shift) % pe) // pe
         pe *= p
-    return total
+    return before, after
 
 
 def _counted_valuations(
     p: int, a: int, b: int, n_lo: int, count: int, k: int
 ) -> list[int]:
-    """_counted_valuation at n_lo, ..., n_lo + count - 1, unvalidated.
+    """The ratio's valuations at p at n_lo, ..., n_lo + count - 1, unvalidated.
 
     One inverse per p**e serves the whole range: the first multiple of
     p**e in the window at n_lo + i sits at offset (r - i) mod p**e, r

@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import SelfCheckError, _brief, _over_budget, require_budget
 from .gfun import (
     Progression,
-    _counted_valuation,
+    _counted_pair,
     _counted_valuations,
     _first_multiple,
     _ratio,
@@ -418,10 +418,10 @@ def valuation_period_bruteforce(
     )
 
 
-def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
-    """A start index n0 proving p**(E-1) is not a period of the
-    p-valuation of the ratio, where E is the largest exponent with
-    p**E <= k.
+def nonperiod_witness(p: int, prog: Progression, k: int) -> tuple[int, int, int]:
+    """The proof that p**(E-1) is not a period of the p-valuation of the
+    ratio, where E is the largest exponent with p**E <= k: a start index
+    n0 and the valuations at n0 and n0 + p**(E-1), which differ.
 
     Applies when the progression is reduced, p does not divide a,
     p <= k, require_prime(p) holds (a prime below the primality bound),
@@ -430,8 +430,8 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     start when 1 <= l <= p**E - p**(E-1), otherwise at offset
     p**(E-1) - 1; either way the window starting p**(E-1) later holds
     one fewer multiple of p**E, so the valuations differ. The multiple is
-    placed by gfun._first_multiple. The returned witness is re-verified
-    by scan, never trusted.
+    placed by gfun._first_multiple, and both valuations are counted by
+    gfun._counted_pair, never trusted: equal counts raise SelfCheckError.
     """
     _require_reduced(prog)
     if k < 0:
@@ -453,11 +453,10 @@ def nonperiod_witness(p: int, prog: Progression, k: int) -> int:
     half = p ** (max_exp - 1)
     offset = 0 if 1 <= (k + 1) % span <= span - half else half - 1
     n0 = _first_multiple(span, prog.a, prog.b, offset) or span
-    before = _counted_valuation(p, prog.a, prog.b, n0, k)
-    after = _counted_valuation(p, prog.a, prog.b, n0 + half, k)
+    before, after = _counted_pair(p, prog.a, prog.b, n0, half, k)
     if before == after:
         raise SelfCheckError(
             f"constructed witness n0={n0} fails for p={p}, "
             f"(a={prog.a}, b={prog.b}), k={k}"
         )
-    return n0
+    return n0, before, after

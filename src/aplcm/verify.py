@@ -181,7 +181,7 @@ def _check_prime_period(k, a, b, budget):
             yield FailureRecord({"k": k, "a": a, "b": b, "p": p}, expected, actual)
         if expected != 1:
             try:
-                n0 = nonperiod_witness(p, prog, k)
+                n0, *counted = nonperiod_witness(p, prog, k)
             # ValueError: the closed form kept a prime the witness refuses.
             except (SelfCheckError, ValueError) as exc:
                 yield FailureRecord(
@@ -191,16 +191,15 @@ def _check_prime_period(k, a, b, budget):
                 )
                 continue
             # Re-checked from the ratio itself, not by the multiple
-            # counting that nonperiod_witness already verifies with.
-            half = expected // p
-            before = valuation(p, window_ratio(prog, Window(n0, k)))
-            after = valuation(p, window_ratio(prog, Window(n0 + half, k)))
-            if before == after:
-                yield FailureRecord(
-                    {"k": k, "a": a, "b": b, "p": p, "n0": n0},
-                    "differing valuations",
-                    f"both {before}",
-                )
+            # counting that nonperiod_witness proves it with, and compared
+            # with the counts it returns as that proof.
+            direct = [valuation(p, window_ratio(prog, Window(n0, k))),
+                      valuation(p, window_ratio(prog, Window(n0 + expected // p, k)))]
+            inputs = {"k": k, "a": a, "b": b, "p": p, "n0": n0}
+            if direct[0] == direct[1]:
+                yield FailureRecord(inputs, "differing valuations", f"both {direct[0]}")
+            if counted != direct:
+                yield FailureRecord({**inputs, "check": "counts"}, direct, counted)
 
 
 def _check_exceptional(k, expected):

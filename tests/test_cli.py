@@ -719,6 +719,39 @@ def test_witness_p_at_the_primality_bound_exits_at_once(capsys, monkeypatch):
     assert code == 2 and "must be below" in err
 
 
+def test_witness_is_priced_as_one_pass_over_the_powers_of_p(capsys, monkeypatch):
+    # k = 5, p = 2: E = 2 powers of one word each, charged 2 E w^2 = 4.
+    unbudgeted = run(capsys, "witness", "--k", "5", "--p", "2")
+    assert unbudgeted == (0, "n0 = 4\nvaluation at 4 = 3\nvaluation at 6 = 2\n", "")
+    monkeypatch.setenv("APLCM_BUDGET", "4")
+    assert run(capsys, "witness", "--k", "5", "--p", "2") == unbudgeted
+    monkeypatch.setenv("APLCM_BUDGET", "3")
+    code, out, err = run(capsys, "witness", "--k", "5", "--p", "2")
+    assert code == 2 and out == "" and "budget 3" in err
+
+
+def test_witness_counts_its_two_valuations_once(capsys, monkeypatch):
+    calls = []
+    pair = aplcm.period._counted_pair
+
+    def spy(*args):
+        calls.append((sys._getframe(1).f_globals["__name__"], args))
+        return pair(*args)
+
+    def no_range_count(*args):
+        raise AssertionError(f"_counted_valuations{args} was called")
+
+    monkeypatch.setattr(aplcm.period, "_counted_pair", spy)
+    monkeypatch.setattr(aplcm.period, "_counted_valuations", no_range_count)
+    monkeypatch.setattr(cli, "_counted_valuations", no_range_count)
+    code, out, _ = run(capsys, "witness", "--k", "5", "--p", "2")
+    assert (code, out) == (0, "n0 = 4\nvaluation at 4 = 3\nvaluation at 6 = 2\n")
+    # One pair count, at n0 = 4 and 4 + 2, made by the library's witness;
+    # the CLI holds no per-window count of its own.
+    assert calls == [("aplcm.period", (2, 1, 0, 4, 2, 5))]
+    assert not hasattr(cli, "_counted_pair")
+
+
 def test_table_tsv(capsys):
     code, out, _ = run(capsys, "table", "--k-max", "10")
     assert code == 0

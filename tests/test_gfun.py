@@ -91,10 +91,10 @@ def multiples_in_window(pe, prog, w):
 
 
 def test_ratio_valuation_by_counting_examples():
-    # Arguments: p, a, b, n, k.
-    assert gfun._counted_valuation(2, 1, 0, 4, 5) == 3
-    assert gfun._counted_valuation(2, 1, 0, 6, 5) == 2
-    assert gfun._counted_valuation(2, 2, 1, 7, 4) == 0
+    # Arguments: p, a, b, n, shift, k; the windows at n and n + shift.
+    assert gfun._counted_pair(2, 1, 0, 4, 2, 5) == (3, 2)
+    assert gfun._counted_pair(2, 1, 0, 6, 0, 5) == (2, 2)
+    assert gfun._counted_pair(2, 2, 1, 7, 1, 4) == (0, 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -113,10 +113,15 @@ def test_counted_valuations_match_the_per_window_count(seed):
             big_e += 1
         count = rng.choice([0, 1, 2 * p**big_e])
         n_lo = rng.choice([1, rng.randint(1, 10**9), rng.randint(1, 10**60)])
-        assert gfun._counted_valuations(p, a, b, n_lo, count, k) == [
-            gfun._counted_valuation(p, a, b, n, k)
-            for n in range(n_lo, n_lo + count)
-        ]
+        # Shifts 0, p**(E-1) (the witness's) and one beyond p**E.
+        for shift in (0, p ** max(big_e - 1, 0), p**big_e + rng.randint(1, 10**9)):
+            assert [
+                gfun._counted_pair(p, a, b, n, shift, k)
+                for n in range(n_lo, n_lo + count)
+            ] == list(zip(
+                gfun._counted_valuations(p, a, b, n_lo, count, k),
+                gfun._counted_valuations(p, a, b, n_lo + shift, count, k),
+            ))
 
 
 def test_counted_valuations_edge_cases():
@@ -142,11 +147,13 @@ def test_valuation_paths_agree():
     for k in range(7):
         for a, b in coprime_pairs(6, 6):
             prog = Progression(a, b)
-            for n in range(1, 61):
-                ratio = window_ratio(prog, Window(n, k))
-                for p in (2, 3, 5):
-                    assert valuation(p, ratio) == \
-                        gfun._counted_valuation(p, a, b, n, k)
+            ratios = [window_ratio(prog, Window(n, k)) for n in range(1, 69)]
+            for p in (2, 3, 5):
+                direct = [valuation(p, ratio) for ratio in ratios]
+                for n in range(1, 61):
+                    for shift in (0, 1, p, 7):
+                        assert gfun._counted_pair(p, a, b, n, shift, k) == \
+                            (direct[n - 1], direct[n - 1 + shift])
 
 
 def test_count_bounds_around_max_exponent():
@@ -289,14 +296,18 @@ def test_counting_valuation_is_the_sum_of_excess_multiples():
     for k in range(9):
         for a, b in coprime_pairs(6, 6):
             prog = Progression(a, b)
-            for n in range(1, 41):
-                w = Window(n, k)
-                for p in (2, 3, 5, 7):
-                    excess = sum(
-                        max(0, multiples_in_window(p**e, prog, w) - 1)
+            for p in (2, 3, 5, 7):
+                excess = [
+                    sum(
+                        max(0, multiples_in_window(p**e, prog, Window(n, k)) - 1)
                         for e in range(1, 6)
                     )
-                    assert gfun._counted_valuation(p, a, b, n, k) == excess
+                    for n in range(1, 51)
+                ]
+                for n in range(1, 41):
+                    for shift in (0, 1, 9):
+                        assert gfun._counted_pair(p, a, b, n, shift, k) == \
+                            (excess[n - 1], excess[n - 1 + shift])
 
 
 def test_progression_keeps_equality_hash_and_pickling_with_cached_d():

@@ -409,30 +409,38 @@ def test_full_period_is_lcm_of_valuation_periods():
             assert smallest_period_bruteforce(prog, k) == math.lcm(*parts)
 
 
-def test_nonperiod_witness_examples():
-    n0 = nonperiod_witness(2, Progression(1, 0), 5)
-    assert n0 == 4
-    assert valuation(2, window_ratio(Progression(1, 0), Window(4, 5))) == 3
-    assert valuation(2, window_ratio(Progression(1, 0), Window(6, 5))) == 2
+def ratio_valuations(p, prog, k, n0, shift):
+    """The valuations at p of the ratios at n0 and n0 + shift, directly."""
+    return tuple(valuation(p, window_ratio(prog, Window(n, k)))
+                 for n in (n0, n0 + shift))
 
-    assert nonperiod_witness(3, Progression(1, 0), 9) % 9 == 0
-    assert nonperiod_witness(2, Progression(3, 1), 5) == 1
+
+def test_nonperiod_witness_examples():
+    # The proof: n0 and the valuations at n0 and n0 + p**(E-1).
+    assert nonperiod_witness(2, Progression(1, 0), 5) == (4, 3, 2)
+    assert ratio_valuations(2, Progression(1, 0), 5, 4, 2) == (3, 2)
+
+    n0, *counts = nonperiod_witness(3, Progression(1, 0), 9)
+    assert n0 % 9 == 0
+    assert tuple(counts) == ratio_valuations(3, Progression(1, 0), 9, n0, 3)
+    assert nonperiod_witness(2, Progression(3, 1), 5) == (1, 3, 2)
+    assert ratio_valuations(2, Progression(3, 1), 5, 1, 2) == (3, 2)
 
 
 def test_nonperiod_witness_end_placement_case():
     """(k+1) mod p**E in the top p**(E-1)-1 residues puts the multiple of
     p**E at offset p**(E-1)-1 instead of the window start."""
-    n0 = nonperiod_witness(2, Progression(1, 0), 6)  # 7 mod 4 = 3 > 2
-    assert n0 == 3
-    assert valuation(2, window_ratio(Progression(1, 0), Window(3, 6))) == 3
-    assert valuation(2, window_ratio(Progression(1, 0), Window(5, 6))) == 2
+    # 7 mod 4 = 3 > 2
+    assert nonperiod_witness(2, Progression(1, 0), 6) == (3, 3, 2)
+    assert ratio_valuations(2, Progression(1, 0), 6, 3, 2) == (3, 2)
 
-    n0 = nonperiod_witness(3, Progression(1, 0), 15)  # 16 mod 9 = 7 > 6
-    assert n0 % 9 == 7
-    assert valuation(3, window_ratio(Progression(1, 0), Window(n0, 15))) == 5
-    assert valuation(3, window_ratio(Progression(1, 0), Window(n0 + 3, 15))) == 4
+    n0, *counts = nonperiod_witness(3, Progression(1, 0), 15)  # 16 mod 9 = 7 > 6
+    assert n0 % 9 == 7 and counts == [5, 4]
+    assert ratio_valuations(3, Progression(1, 0), 15, n0, 3) == (5, 4)
 
-    assert nonperiod_witness(2, Progression(5, 3), 6) == 4
+    n0, *counts = nonperiod_witness(2, Progression(5, 3), 6)
+    assert n0 == 4
+    assert tuple(counts) == ratio_valuations(2, Progression(5, 3), 6, 4, 2)
 
 
 def test_nonperiod_witness_verified_by_scan():
@@ -443,11 +451,11 @@ def test_nonperiod_witness_verified_by_scan():
                 max_e = integer_log(p, k)
                 if a % p == 0 or valuation(p, k + 1) >= max_e:
                     continue
-                n0 = nonperiod_witness(p, prog, k)
+                n0, before, after = nonperiod_witness(p, prog, k)
                 assert n0 >= 1
                 half = p ** (max_e - 1)
-                assert valuation(p, window_ratio(prog, Window(n0, k))) != \
-                    valuation(p, window_ratio(prog, Window(n0 + half, k)))
+                assert (before, after) == ratio_valuations(p, prog, k, n0, half)
+                assert before != after
 
 
 def test_nonperiod_witness_preconditions():

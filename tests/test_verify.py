@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from aplcm import gfun, verify
+from aplcm import gfun, period, verify
 from aplcm.errors import SelfCheckError
 from aplcm.numtheory import integer_log, primes_upto
 from aplcm.verify import available_suites, run_suite
@@ -56,6 +56,13 @@ def _valuations_off_by_one_at_n_lo(p, a, b, n_lo, count, k):
     return [counted[0] + 1, *counted[1:]] if counted else counted
 
 
+def _witness_off_by_one_at_the_shift(p, prog, k):
+    n0, before, after = period.nonperiod_witness(p, prog, k)
+    # Still unequal, so only the comparison with the ratio's valuations
+    # can see it.
+    return n0, before, after + 1 if after + 1 != before else after - 1
+
+
 # For each cheap suite, one callee in the verify namespace that is made
 # to return a wrong value or raise, and the keys every failure it causes
 # must name.
@@ -75,6 +82,9 @@ INJECTED_FAULTS = [
     # period later, which the suite's re-check must report.
     ("prime-period", "window_ratio", lambda prog, w: 1,
      {"k", "a", "b", "p", "n0"}),
+    pytest.param("prime-period", "nonperiod_witness",
+                 _witness_off_by_one_at_the_shift, {"k", "a", "b", "p", "n0"},
+                 id="prime-period-witness-counts"),
     ("fast-lcm", "fast_lcm", _raise_self_check, {"k", "a", "b", "n"}),
     # Each range then holds its own start, so the base and shifted
     # windows differ at every n.
@@ -126,6 +136,15 @@ def test_suite_reports_an_injected_fault(monkeypatch, name, callee, fake, keys):
     assert report.cases_run == cases_run
     for failure in report.failures:
         assert keys <= failure.inputs.keys(), failure
+
+
+def test_a_wrong_witness_count_is_caught_by_the_count_check_alone(monkeypatch):
+    monkeypatch.setattr(verify, "nonperiod_witness", _witness_off_by_one_at_the_shift)
+    failures = run_suite("prime-period").failures
+    assert failures
+    assert {f.inputs.get("check") for f in failures} == {"counts"}
+    for f in failures:
+        assert f.actual[0] == f.expected[0] and f.actual[1] != f.expected[1]
 
 
 def test_every_suite_has_an_injected_fault():
